@@ -2,8 +2,9 @@
 //
 // Scale-down calibration (DESIGN.md substitution S8): the paper's testbed
 // gives every worker 100 GB; exceeding it is an OOM. We run FatTree
-// k ∈ {6, 8, 10, 12} against an 8 MB per-worker budget chosen so the OOM
-// and timeout crossovers land at the same *relative* points as the paper:
+// k ∈ {6, 8, 10, 12} against a 9 MB per-worker budget (kWorkerBudget)
+// chosen so the OOM and timeout crossovers land at the same *relative*
+// points as the paper:
 //
 //   paper            here            what happens at the budget
 //   FatTree40 (2000) k=6  (45 sw)    Batfish fits (3.5 MB)

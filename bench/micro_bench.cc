@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot substrate operations
-// underneath the figure harnesses: BDD apply/serialize, route
-// serialization, route-map evaluation, best-path selection, the
-// partitioner, and config parsing.
+// underneath the figure harnesses: BDD apply/serialize, unique-table churn
+// and GC sweeps, route serialization, route-map evaluation, best-path
+// selection, the partitioner, and config parsing.
 #include <benchmark/benchmark.h>
 
 #include "bdd/bdd_io.h"
@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "topo/fattree.h"
 #include "topo/partition.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -93,6 +94,56 @@ void BM_BddSerializeRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddSerializeRoundTrip);
+
+// Union of n random 32-bit prefixes, /12 to /28: mostly new nodes, so
+// mostly unique-table misses plus inserts.
+bdd::Bdd RandomPrefixUnion(bdd::Manager& manager, util::Rng& rng, int n) {
+  bdd::Bdd acc = manager.Zero();
+  for (int p = 0; p < n; ++p) {
+    uint32_t len = 12 + static_cast<uint32_t>(rng.Below(17));
+    uint64_t mask = ((uint64_t{1} << len) - 1) << (32 - len);
+    acc |= manager.MaskedMatch(0, 32, rng.Next() & mask, mask);
+  }
+  return acc;
+}
+
+// Unique-table churn: each iteration's union dies at once, and a GC every
+// 8 iterations sweeps it out of the table again.
+void BM_BddUniqueTableChurn(benchmark::State& state) {
+  bdd::Manager manager(32);
+  util::Rng rng(1);
+  const int n = static_cast<int>(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RandomPrefixUnion(manager, rng, n).id());
+    if (++i % 8 == 0) manager.GarbageCollect();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_BddUniqueTableChurn)->Arg(256)->Arg(4096);
+
+// One GC sweep over a table holding a fixed live set plus a freshly killed
+// set of about the same size (the shape of a watermark-triggered sweep).
+// Only the sweep is timed.
+void BM_BddGcSweep(benchmark::State& state) {
+  bdd::Manager manager(32);
+  util::Rng rng(2);
+  const int n = static_cast<int>(state.range(0));
+  manager.PauseGc();  // only the timed sweeps collect
+  bdd::Bdd live = RandomPrefixUnion(manager, rng, n);
+  size_t freed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    RandomPrefixUnion(manager, rng, n);  // dropped at once: the garbage
+    size_t before = manager.allocated_nodes();
+    state.ResumeTiming();
+    manager.GarbageCollect();
+    freed += before - manager.allocated_nodes();
+  }
+  benchmark::DoNotOptimize(live.id());
+  state.SetItemsProcessed(static_cast<int64_t>(freed));
+}
+BENCHMARK(BM_BddGcSweep)->Arg(1024)->Arg(8192);
 
 // ---------------------------------------------------------------- routes
 

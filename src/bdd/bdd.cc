@@ -1,6 +1,7 @@
 #include "bdd/bdd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 
@@ -11,6 +12,8 @@ namespace s2::bdd {
 namespace {
 // Slot marker for entries on the free list.
 constexpr uint32_t kFreeVar = ~uint32_t{0} - 1;
+// Initial unique-table buckets; the table doubles from here.
+constexpr size_t kInitialUniqueSlots = 1024;
 }  // namespace
 
 // ---------------------------------------------------------------- handles
@@ -80,6 +83,7 @@ Manager::Manager(uint32_t num_vars, Options options)
   nodes_.push_back(Node{kTerminalVar, kOne, kOne});
   refcounts_.assign(2, 1);
   peak_nodes_ = 2;
+  RehashUnique(kInitialUniqueSlots);
   bin_cache_.Init(options_.op_cache_entries);
   ite_cache_.Init(options_.op_cache_entries);
 }
@@ -187,18 +191,47 @@ uint32_t Manager::AllocateSlot() {
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
+size_t Manager::UniqueHome(uint32_t var, uint32_t low, uint32_t high) const {
+  uint64_t h = ((uint64_t{high} << 32) | low) +
+               uint64_t{var} * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 32;
+  // Fibonacci hashing: the product's top bits pick the bucket.
+  return static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> unique_shift_);
+}
+
+void Manager::RehashUnique(size_t slots) {
+  unique_shift_ = 64 - static_cast<uint32_t>(std::countr_zero(slots));
+  unique_.assign(slots, kEmptySlot);
+  size_t mask = slots - 1;
+  for (uint32_t id = 2; id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    if (n.var == kFreeVar) continue;
+    size_t i = UniqueHome(n.var, n.low, n.high);
+    while (unique_[i] != kEmptySlot) i = (i + 1) & mask;
+    unique_[i] = id;
+  }
+}
+
 uint32_t Manager::MakeNode(uint32_t var, uint32_t low, uint32_t high) {
   if (low == high) return low;
-  UniqueKey key{var, low, high};
-  auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
+  size_t mask = unique_.size() - 1;
+  size_t i = UniqueHome(var, low, high);
+  for (; unique_[i] != kEmptySlot; i = (i + 1) & mask) {
+    const Node& n = nodes_[unique_[i]];
+    if (n.var == var && n.low == low && n.high == high) return unique_[i];
+  }
   uint32_t slot = AllocateSlot();
   nodes_[slot] = Node{var, low, high};
   refcounts_[slot] = 0;
   ++dead_count_;  // alive once somebody references it
   Ref(low);
   Ref(high);
-  unique_.emplace(key, slot);
+  // The table holds every allocated internal node (terminals excluded).
+  if (2 * (allocated_nodes() - 2) > unique_.size()) {
+    RehashUnique(2 * unique_.size());  // the new node included
+  } else {
+    unique_[i] = slot;
+  }
   peak_nodes_ = std::max(peak_nodes_, allocated_nodes());
   return slot;
 }
@@ -257,7 +290,6 @@ void Manager::GarbageCollect() {
     assert(pinned_.find(id) == pinned_.end() &&
            "BDD GC reclaimed a pinned snapshot root");
     Node& n = nodes_[id];
-    unique_.erase(UniqueKey{n.var, n.low, n.high});
     uint32_t low = n.low, high = n.high;
     n.var = kFreeVar;
     free_list_.push_back(id);
@@ -276,6 +308,10 @@ void Manager::GarbageCollect() {
   if (options_.tracker && freed > 0) {
     options_.tracker->Release(freed * kNodeBytes);
   }
+  // Freed ids leave the unique table in one rebuild rather than one
+  // backward-shift deletion each: watermark sweeps free about half the
+  // table, and rebuilding sequentially from the slab is the cheaper way.
+  if (freed > 0) RehashUnique(unique_.size());
   // Keep memoized results that only touch surviving nodes; drop entries
   // referencing freed slots. A freed slot is reused by a later MakeNode for
   // a different function, so a stale entry would silently corrupt results.

@@ -205,7 +205,6 @@ RibStore::RibStore() {
   dir_ = std::filesystem::temp_directory_path() /
          ("s2-ribstore-" + std::to_string(::getpid()) + "-" +
           std::to_string(counter.fetch_add(1)));
-  std::filesystem::create_directories(dir_);
 }
 
 RibStore::RibStore(std::shared_ptr<const RibStore> base,
@@ -216,6 +215,7 @@ RibStore::RibStore(std::shared_ptr<const RibStore> base,
 }
 
 RibStore::~RibStore() {
+  if (!dir_created_) return;
   std::error_code ec;
   std::filesystem::remove_all(dir_, ec);
 }
@@ -233,6 +233,12 @@ void RibStore::Write(
   std::vector<uint8_t> bytes;
   SerializeRoutes(updates, bytes, stats_pool);
   if (!in_memory_) {
+    // Workers spill concurrently; the first on-disk write makes the
+    // directory, so an in-memory store never touches the file system.
+    std::call_once(dir_once_, [this] {
+      std::filesystem::create_directories(dir_);
+      dir_created_ = true;
+    });
     auto path = dir_ / (std::to_string(shard) + "-" + std::to_string(node) +
                         ".rib");
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

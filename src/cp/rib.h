@@ -115,7 +115,8 @@ class Rib {
 // path costs real I/O.
 class RibStore {
  public:
-  // Creates a fresh directory under the system temp dir.
+  // Names a fresh directory under the system temp dir; it is created on
+  // the first on-disk Write, so an in-memory store never makes one.
   RibStore();
 
   // An overlay store: ReadAll merges `base`'s spills — skipping prefixes
@@ -213,6 +214,8 @@ class RibStore {
                    std::map<util::IpPrefix, std::vector<Route>>& out) const;
 
   std::filesystem::path dir_;
+  std::once_flag dir_once_;
+  bool dir_created_ = false;  // set once, under dir_once_
   mutable std::mutex mutex_;  // guards the counters and entries_
   size_t bytes_written_ = 0;
   size_t routes_written_ = 0;

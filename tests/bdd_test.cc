@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd.h"
+#include "util/memory_tracker.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -507,6 +508,186 @@ TEST_P(RandomGcScheduleTest, MidOperationGcMatchesTruthTable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGcScheduleTest,
                          ::testing::Range<uint64_t>(200, 210));
+
+// ---------------------------------------------------------- unique table
+// The open-addressed id table: node ids, the free-list order and memory
+// accounting must not depend on how the table is laid out, and removing
+// swept nodes must never lose a survivor that probes past them.
+
+uint64_t Fnv(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The predicate "the top len bits of a 32-bit field equal those of value".
+Bdd Prefix32(Manager& m, uint64_t value, uint32_t len) {
+  uint64_t mask = ((uint64_t{1} << len) - 1) << (32 - len);
+  return m.MaskedMatch(0, 32, value & mask, mask);
+}
+
+// A fixed seeded script over every operation, with explicit and
+// threshold-driven GCs. The golden hash covers every returned root id and
+// the node and byte accounting after each step; it was captured from the
+// std::unordered_map unique table this one replaced, so it pins ids, the
+// free-list order and accounting across table changes.
+TEST(UniqueTableTest, ScriptPinsNodeIdsAndAccounting) {
+  constexpr uint32_t kVars = 32;
+  util::MemoryTracker tracker("bdd");
+  Manager::Options options;
+  options.tracker = &tracker;
+  Manager m(kVars, options);
+  const size_t initial_slots = m.unique_slots();
+  util::Rng rng(20251017);
+  std::vector<Bdd> pool(48, m.Zero());
+  auto pick = [&]() -> Bdd& { return pool[rng.Below(pool.size())]; };
+  auto prefix = [&] {
+    uint32_t len = 12 + static_cast<uint32_t>(rng.Below(17));
+    return Prefix32(m, rng.Next(), len);
+  };
+  auto var = [&] { return static_cast<uint32_t>(rng.Below(kVars)); };
+  uint64_t h = 0xcbf29ce484222325ULL;
+  bool load_ok = true;
+  for (int step = 0; step < 11000; ++step) {
+    Bdd& out = pick();
+    // Unions with a fresh prefix dominate, so the table keeps growing.
+    // Every draw is its own statement: argument evaluation order is
+    // unspecified, and the golden hash must not depend on the compiler.
+    uint64_t op =
+        rng.Below(16) == 15 ? 15 : (rng.Below(3) != 0 ? 0 : rng.Below(15));
+    if (op < 6) {
+      out = out | prefix();
+    } else if (op < 8) {
+      Bdd& a = pick();
+      out = m.And(a, !prefix());
+    } else if (op == 8) {
+      Bdd& a = pick();
+      out = m.Xor(a, prefix());
+    } else if (op < 11) {
+      Bdd& a = pick();
+      out = m.Or(a, pick());
+    } else if (op == 11) {
+      Bdd p = prefix();
+      Bdd& a = pick();
+      out = m.Ite(p, a, pick());
+    } else if (op == 12) {
+      Bdd& a = pick();
+      uint32_t v = var();
+      out = m.Restrict(a, v, rng.Below(2) == 1);
+    } else if (op == 13) {
+      Bdd& a = pick();
+      out = m.Exists(a, {var(), var()});
+    } else if (op == 14) {
+      Bdd& a = pick();
+      out = m.And(a, pick());
+    } else if (rng.Below(8) == 0) {
+      m.GarbageCollect();
+    }
+    h = Fnv(h, out.id());
+    h = Fnv(h, m.allocated_nodes());
+    h = Fnv(h, m.peak_nodes());
+    h = Fnv(h, tracker.live_bytes());
+    h = Fnv(h, tracker.peak_bytes());
+    load_ok &= 2 * (m.allocated_nodes() - 2) <= m.unique_slots();
+  }
+  EXPECT_EQ(h, 0x4d88049a540e8c30ULL);
+  EXPECT_TRUE(load_ok) << "unique table load above 1/2";
+  EXPECT_GT(m.peak_nodes(), 50000u);
+  EXPECT_GE(m.unique_slots(), 8 * initial_slots);  // >= 3 doublings
+  EXPECT_GE(m.generation(), 60u);  // explicit plus threshold sweeps
+}
+
+// Functions given as lists of (value, length) prefixes to union.
+using PrefixSpec = std::vector<std::pair<uint64_t, uint32_t>>;
+
+Bdd BuildUnion(Manager& m, const PrefixSpec& spec) {
+  Bdd f = m.Zero();
+  for (const auto& [value, len] : spec) f |= Prefix32(m, value, len);
+  return f;
+}
+
+std::vector<PrefixSpec> RandomSpecs(util::Rng& rng, size_t count) {
+  std::vector<PrefixSpec> specs(count);
+  for (PrefixSpec& spec : specs) {
+    for (int i = 0; i < 30; ++i) {
+      uint64_t value = rng.Next();
+      spec.emplace_back(value, 12 + static_cast<uint32_t>(rng.Below(17)));
+    }
+  }
+  return specs;
+}
+
+TEST(UniqueTableTest, GrowthThenSweepThenRebuildKeepsIds) {
+  util::Rng rng(31);
+  std::vector<PrefixSpec> specs = RandomSpecs(rng, 300);
+  Manager m(32);
+  std::vector<Bdd> first;
+  for (const PrefixSpec& spec : specs) first.push_back(BuildUnion(m, spec));
+  const size_t grown_slots = m.unique_slots();
+  EXPECT_GT(m.peak_nodes(), 50000u);
+  // Keep one function in eight and sweep the rest away.
+  std::vector<uint32_t> first_ids;
+  for (size_t i = 0; i < first.size(); ++i) {
+    first_ids.push_back(first[i].id());
+    if (i % 8 != 0) first[i] = Bdd();
+  }
+  m.GarbageCollect();
+  size_t survivors = m.allocated_nodes();
+  EXPECT_LT(survivors, m.peak_nodes() / 4);
+  EXPECT_EQ(m.unique_slots(), grown_slots);  // the table never shrinks
+  // Rebuilding finds every survivor under its old id.
+  std::vector<Bdd> rebuilt;
+  for (const PrefixSpec& spec : specs) rebuilt.push_back(BuildUnion(m, spec));
+  for (size_t i = 0; i < specs.size(); i += 8) {
+    EXPECT_EQ(rebuilt[i].id(), first_ids[i]) << "function " << i;
+  }
+  // No duplicate triples: after a sweep, the node count equals that of a
+  // fresh manager holding the same functions.
+  first.clear();
+  m.GarbageCollect();
+  Manager reference(32);
+  std::vector<Bdd> held;
+  for (const PrefixSpec& spec : specs) {
+    held.push_back(BuildUnion(reference, spec));
+  }
+  reference.GarbageCollect();
+  EXPECT_EQ(m.allocated_nodes(), reference.allocated_nodes());
+  // Building everything once more finds the same roots and, once the
+  // re-made intermediates are swept, leaves the same node count.
+  size_t settled = m.allocated_nodes();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(BuildUnion(m, specs[i]).id(), rebuilt[i].id());
+  }
+  m.GarbageCollect();
+  EXPECT_EQ(m.allocated_nodes(), settled);
+}
+
+// Sweeps random halves of a table held near its load limit. Membership is
+// chosen independently of the hash, so swept and surviving nodes share
+// probe runs; re-making every survivor's triples (Cube calls MakeNode on
+// each level) must return the old ids and allocate nothing.
+TEST(UniqueTableTest, SweepInsideProbeRunsKeepsSurvivorsFindable) {
+  util::Rng rng(47);
+  Manager m(24);
+  std::vector<std::pair<uint64_t, Bdd>> live;
+  for (int round = 0; round < 8; ++round) {
+    while (2 * (m.allocated_nodes() + 24) <= m.unique_slots() ||
+           live.size() < 64) {
+      uint64_t value = rng.Next() & 0xffffff;
+      live.emplace_back(value, m.Cube(0, 24, value));
+    }
+    rng.Shuffle(live);
+    live.resize(live.size() / 2);
+    m.GarbageCollect();
+    size_t allocated = m.allocated_nodes();
+    for (const auto& [value, cube] : live) {
+      ASSERT_EQ(m.Cube(0, 24, value).id(), cube.id()) << "round " << round;
+    }
+    EXPECT_EQ(m.allocated_nodes(), allocated) << "round " << round;
+  }
+}
 
 }  // namespace
 }  // namespace s2::bdd

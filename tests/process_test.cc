@@ -16,6 +16,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -196,6 +197,27 @@ TEST(ProcessWorkers, DifferentialSharded) {
         << "predicate bytes diverge on worker " << w;
   }
   EXPECT_GT(proc.last_controller()->process_stats()->heartbeats.load(), 0u);
+}
+
+// Child stores keep their spills in memory and the child _Exits without
+// running destructors, so a child must never create a spill directory.
+TEST(ProcessWorkers, ChildrenLeaveNoSpillDirectories) {
+  dp::Query query = EdgeQuery(DefaultDcn());
+  core::S2Verifier proc(BaseOptions(3, 4, WorkerMode::kProcess));
+  core::VerifyResult got = proc.Verify(DefaultDcn(), {query});
+  ASSERT_EQ(got.status, core::RunStatus::kOk) << got.failure_detail;
+  std::vector<int> pids = CollectPids(*proc.last_controller());
+  ASSERT_FALSE(pids.empty());
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path(), ec)) {
+    std::string name = entry.path().filename().string();
+    for (int pid : pids) {
+      EXPECT_NE(name.rfind("s2-ribstore-" + std::to_string(pid) + "-", 0), 0u)
+          << "child " << pid << " left " << entry.path();
+    }
+  }
+  EXPECT_FALSE(ec) << ec.message();
 }
 
 // One worker SIGKILLed between the control-plane and data-plane phases:

@@ -2,6 +2,13 @@
 // aggregate contributor scans, memory accounting, and the on-disk RIB
 // store used by prefix sharding.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "cp/attr.h"
 #include "cp/rib.h"
@@ -168,6 +175,67 @@ TEST(RibStoreTest, MergesAcrossShards) {
   store.Write(1, 3, shard1);
   auto merged = store.ReadAll(3, TestPool());
   EXPECT_EQ(merged.size(), 2u);
+}
+
+// Names of this process's spill directories under the temp dir.
+std::set<std::string> OwnSpillDirs() {
+  std::set<std::string> names;
+  const std::string prefix = "s2-ribstore-" + std::to_string(::getpid()) + "-";
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path())) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) names.insert(name);
+  }
+  return names;
+}
+
+TEST(RibStoreTest, InMemoryStoreCreatesNoDirectory) {
+  std::set<std::string> before = OwnSpillDirs();
+  {
+    RibStore store;
+    store.EnableInMemorySpills();
+    std::map<util::IpPrefix, std::vector<Route>> best;
+    best[util::MustParsePrefix("10.0.0.0/24")] = {
+        MakeRoute("10.0.0.0/24", 100, 2, 1)};
+    store.Write(0, 3, best);
+    EXPECT_EQ(store.ReadAll(3, TestPool()), best);
+    EXPECT_EQ(OwnSpillDirs(), before);
+  }
+  EXPECT_EQ(OwnSpillDirs(), before);
+}
+
+TEST(RibStoreTest, DiskStoreCreatesItsDirectoryOnFirstWriteOnly) {
+  std::set<std::string> before = OwnSpillDirs();
+  {
+    RibStore store;
+    EXPECT_EQ(OwnSpillDirs(), before);  // nothing spilled yet
+    std::map<util::IpPrefix, std::vector<Route>> best;
+    best[util::MustParsePrefix("10.0.0.0/24")] = {
+        MakeRoute("10.0.0.0/24", 100, 2, 1)};
+    store.Write(0, 3, best);
+    store.Write(1, 4, best);
+    EXPECT_EQ(OwnSpillDirs().size(), before.size() + 1);
+  }
+  EXPECT_EQ(OwnSpillDirs(), before);  // the destructor removed it
+}
+
+// The first on-disk writes race to create the directory; every spill must
+// still land (run under TSan via the sanitizer legs).
+TEST(RibStoreTest, ConcurrentFirstWritesShareOneDirectory) {
+  std::set<std::string> before = OwnSpillDirs();
+  RibStore store;
+  std::map<util::IpPrefix, std::vector<Route>> best;
+  best[util::MustParsePrefix("10.0.0.0/24")] = {
+      MakeRoute("10.0.0.0/24", 100, 2, 1)};
+  std::vector<std::thread> writers;
+  for (topo::NodeId node = 0; node < 4; ++node) {
+    writers.emplace_back([&store, &best, node] { store.Write(0, node, best); });
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(OwnSpillDirs().size(), before.size() + 1);
+  for (topo::NodeId node = 0; node < 4; ++node) {
+    EXPECT_EQ(store.ReadAll(node, TestPool()), best);
+  }
 }
 
 }  // namespace
