@@ -288,6 +288,41 @@ void BM_RibUpsertSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_RibUpsertSteadyState);
 
+// Sharded spill round trip: S shards × N nodes write one blob each, then
+// every node's routes are read back across all shards. Blobs hold 30
+// prefixes with two-way ECMP (60 routes, about 3 KB) — the mean blob of a
+// 20-shard FatTree k=12 verify. Arg pairs are (shards, nodes).
+void BM_RibStoreSpillReadBack(benchmark::State& state) {
+  const int shards = static_cast<int>(state.range(0));
+  const auto nodes = static_cast<topo::NodeId>(state.range(1));
+  std::vector<std::map<util::IpPrefix, std::vector<cp::Route>>> batches(
+      static_cast<size_t>(shards));
+  for (int shard = 0; shard < shards; ++shard) {
+    for (int i = 0; i < 30; ++i) {
+      cp::Route route = BenchRoute();
+      const uint32_t address =
+          (10u << 24) | (uint32_t(shard) << 16) | (uint32_t(i) << 8);
+      route.prefix = util::IpPrefix(util::IpAddress(address), 24);
+      cp::Route second = route;
+      second.learned_from = 4;
+      batches[static_cast<size_t>(shard)][route.prefix] = {route, second};
+    }
+  }
+  for (auto _ : state) {
+    cp::RibStore store;
+    for (int shard = 0; shard < shards; ++shard) {
+      for (topo::NodeId node = 0; node < nodes; ++node) {
+        store.Write(shard, node, batches[static_cast<size_t>(shard)]);
+      }
+    }
+    for (topo::NodeId node = 0; node < nodes; ++node) {
+      benchmark::DoNotOptimize(store.ReadAll(node, BenchPool()));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * shards * nodes);
+}
+BENCHMARK(BM_RibStoreSpillReadBack)->Args({20, 45})->Args({8, 33});
+
 // ----------------------------------------------------- parse & partition
 
 void BM_ParseFatTreeConfigs(benchmark::State& state) {

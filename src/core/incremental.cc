@@ -218,12 +218,8 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
                      : std::make_shared<cp::RibStore>(base.rib_spills,
                                                       closure);
     // The overlay records each node's FIB projection as it spills, so the
-    // rebuild diff below is a pure in-memory comparison; its spill blobs
-    // stay in memory too (they never outlive this run).
-    if (!fallback) {
-      store->EnableProjectionCapture();
-      store->EnableInMemorySpills();
-    }
+    // rebuild diff below is a pure in-memory comparison.
+    if (!fallback) store->EnableProjectionCapture();
     controller.OverrideShardPlan(std::move(plan), store);
     result.control_plane = controller.RunControlPlane();
 
@@ -403,6 +399,9 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
   } catch (const util::SimulatedTimeout& timeout) {
     result.status = RunStatus::kTimeout;
     result.failure_detail = timeout.what();
+  } catch (const util::StorageError& error) {
+    result.status = RunStatus::kStorageError;
+    result.failure_detail = error.what();
   }
 
   result.peak_memory_bytes = controller.MaxWorkerPeakBytes();

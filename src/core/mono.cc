@@ -112,6 +112,9 @@ VerifyResult MonoVerifier::Verify(const config::ParsedNetwork& network,
   } catch (const util::SimulatedTimeout& timeout) {
     result.status = RunStatus::kTimeout;
     result.failure_detail = timeout.what();
+  } catch (const util::StorageError& error) {
+    result.status = RunStatus::kStorageError;
+    result.failure_detail = error.what();
   }
 
   result.peak_memory_bytes = tracker.peak_bytes();

@@ -2,7 +2,8 @@
 // verifiers (S2, the monolithic baseline, Bonsai) and the benchmark
 // harness. A verifier never aborts on resource exhaustion: simulated OOM
 // and timeout become verdicts, matching how the paper reports "OOM" /
-// "timeout" bars in Figures 4, 5, and 8.
+// "timeout" bars in Figures 4, 5, and 8. A spill storage failure likewise
+// becomes kStorageError.
 #pragma once
 
 #include <string>
@@ -13,13 +14,19 @@
 
 namespace s2::core {
 
-enum class RunStatus { kOk, kOutOfMemory, kTimeout, kWorkerLost };
+enum class RunStatus {
+  kOk,
+  kOutOfMemory,
+  kTimeout,
+  kWorkerLost,
+  kStorageError,
+};
 
 const char* RunStatusName(RunStatus status);
 
 struct VerifyResult {
   RunStatus status = RunStatus::kOk;
-  std::string failure_detail;  // domain/reason for OOM or timeout
+  std::string failure_detail;  // domain/reason for a non-ok status
 
   // Phase metrics. For the monolithic baseline, wall == the single
   // domain's compute time and modeled adds GC penalties.

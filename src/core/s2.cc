@@ -84,6 +84,9 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
     // than a hang or a crash.
     result.status = RunStatus::kWorkerLost;
     result.failure_detail = lost.what();
+  } catch (const util::StorageError& error) {
+    result.status = RunStatus::kStorageError;
+    result.failure_detail = error.what();
   }
   result.peak_memory_bytes = controller_->MaxWorkerPeakBytes();
   result.worker_peaks = controller_->WorkerPeakBytes();

@@ -1,12 +1,14 @@
 #include "cp/rib.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
+
+#include "util/status.h"
 
 namespace s2::cp {
 
@@ -200,24 +202,74 @@ void Rib::Clear() {
 
 // ------------------------------------------------------------- RibStore
 
-RibStore::RibStore() {
-  static std::atomic<uint64_t> counter{0};
-  dir_ = std::filesystem::temp_directory_path() /
-         ("s2-ribstore-" + std::to_string(::getpid()) + "-" +
-          std::to_string(counter.fetch_add(1)));
-}
-
 RibStore::RibStore(std::shared_ptr<const RibStore> base,
                    std::unordered_set<util::IpPrefix> masked)
-    : RibStore() {
-  base_ = std::move(base);
-  masked_ = std::move(masked);
-}
+    : base_(std::move(base)), masked_(std::move(masked)) {}
 
 RibStore::~RibStore() {
-  if (!dir_created_) return;
+  if (fd_ >= 0) ::close(fd_);
+}
+
+namespace {
+
+// Creates a store's segment and unlinks it at once: the descriptor is the
+// only reference left, so the bytes go with the process however it ends.
+int CreateSegment() {
   std::error_code ec;
-  std::filesystem::remove_all(dir_, ec);
+  std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
+  if (ec) throw util::StorageError("resolve temp dir", ec.value());
+  std::string name = "s2-ribstore-" + std::to_string(::getpid()) + "-XXXXXX";
+  std::string path = (dir / name).string();
+  int fd = ::mkostemp(path.data(), O_CLOEXEC);
+  if (fd < 0) throw util::StorageError("create " + path, errno);
+  if (::unlink(path.c_str()) != 0) {
+    int err = errno;
+    ::close(fd);
+    throw util::StorageError("unlink " + path, err);
+  }
+  return fd;
+}
+
+// Moves all `length` bytes with ::pwrite or ::pread, resuming short
+// transfers; an error or an early end of file throws StorageError.
+template <typename Io, typename Byte>
+void TransferAll(Io io, int fd, Byte* data, size_t length, uint64_t offset,
+                 const char* op) {
+  for (size_t done = 0; done < length;) {
+    ssize_t n = io(fd, data + done, length - done,
+                   static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw util::StorageError(op, n == 0 ? EIO : errno);
+    done += static_cast<size_t>(n);
+  }
+}
+
+}  // namespace
+
+void RibStore::Append(int shard, topo::NodeId node,
+                      const std::vector<uint8_t>& bytes) {
+  Extent extent{0, bytes.size()};
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (fd_ < 0) fd_ = CreateSegment();
+    fd = fd_;
+    extent.offset = end_;
+    end_ += extent.length;
+  }
+  TransferAll(::pwrite, fd, bytes.data(), bytes.size(), extent.offset,
+              "write spill segment");
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (extents_.insert_or_assign({shard, node}, extent).second) {
+    node_shards_[node].push_back(shard);
+  }
+}
+
+std::vector<uint8_t> RibStore::ReadExtent(int fd, Extent extent) {
+  std::vector<uint8_t> bytes(extent.length);
+  TransferAll(::pread, fd, bytes.data(), bytes.size(), extent.offset,
+              "read spill segment");
+  return bytes;
 }
 
 void RibStore::Write(
@@ -232,20 +284,7 @@ void RibStore::Write(
   }
   std::vector<uint8_t> bytes;
   SerializeRoutes(updates, bytes, stats_pool);
-  if (!in_memory_) {
-    // Workers spill concurrently; the first on-disk write makes the
-    // directory, so an in-memory store never touches the file system.
-    std::call_once(dir_once_, [this] {
-      std::filesystem::create_directories(dir_);
-      dir_created_ = true;
-    });
-    auto path = dir_ / (std::to_string(shard) + "-" + std::to_string(node) +
-                        ".rib");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) std::abort();  // disk trouble is not a recoverable verdict
-  }
+  Append(shard, node, bytes);
   std::lock_guard<std::mutex> lock(mutex_);
   bytes_written_ += bytes.size();
   routes_written_ += updates.size();
@@ -269,24 +308,17 @@ void RibStore::Write(
       }
     }
   }
-  if (in_memory_) blobs_[{shard, node}] = std::move(bytes);
-  entries_.emplace_back(shard, node);
 }
 
-void RibStore::SeedBlob(int shard, topo::NodeId node,
-                        std::vector<uint8_t> bytes) {
+std::map<topo::NodeId, std::vector<uint8_t>> RibStore::OwnBlobs(
+    int shard) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  in_memory_ = true;
-  auto key = std::make_pair(shard, node);
-  bool existed = blobs_.count(key) != 0;
-  blobs_[key] = std::move(bytes);
-  if (!existed) entries_.emplace_back(shard, node);
-}
-
-std::map<std::pair<int, topo::NodeId>, std::vector<uint8_t>>
-RibStore::OwnBlobs() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return blobs_;
+  std::map<topo::NodeId, std::vector<uint8_t>> blobs;
+  for (auto it = extents_.lower_bound({shard, 0});
+       it != extents_.end() && it->first.first == shard; ++it) {
+    blobs.emplace(it->first.second, ReadExtent(fd_, it->second));
+  }
+  return blobs;
 }
 
 const std::map<util::IpPrefix, std::vector<topo::NodeId>>*
@@ -310,33 +342,24 @@ size_t RibStore::CountRoutes(
 void RibStore::ReadOwnInto(
     topo::NodeId node, const std::unordered_set<int>* shards, AttrPool& pool,
     std::map<util::IpPrefix, std::vector<Route>>& out) const {
-  std::vector<std::pair<int, topo::NodeId>> entries;
+  std::vector<Extent> extents;
+  int fd = -1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    entries = entries_;
+    fd = fd_;
+    auto it = node_shards_.find(node);
+    if (it == node_shards_.end()) return;
+    for (int shard : it->second) {
+      if (shards == nullptr || shards->count(shard) != 0) {
+        extents.push_back(extents_.at({shard, node}));
+      }
+    }
   }
   // Shards hold disjoint prefixes, so each out[prefix] is filled from a
-  // single file and the entry order cannot change the result.
-  for (const auto& [shard, entry_node] : entries) {
-    if (entry_node != node) continue;
-    if (shards != nullptr && shards->count(shard) == 0) continue;
-    std::vector<uint8_t> bytes;
-    if (in_memory_) {
-      // Spills are complete before any read (the DPO starts only after the
-      // CPO's last spill barrier), but copy under the lock regardless.
-      std::lock_guard<std::mutex> lock(mutex_);
-      bytes = blobs_.at({shard, entry_node});
-    } else {
-      auto path = dir_ / (std::to_string(shard) + "-" +
-                          std::to_string(entry_node) + ".rib");
-      std::ifstream in(path, std::ios::binary | std::ios::ate);
-      if (!in) std::abort();
-      bytes.resize(static_cast<size_t>(in.tellg()));
-      in.seekg(0);
-      in.read(reinterpret_cast<char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    }
-    for (RouteUpdate& update : DeserializeRoutes(bytes, pool)) {
+  // single blob and the shard order cannot change the result.
+  for (const Extent& extent : extents) {
+    for (RouteUpdate& update :
+         DeserializeRoutes(ReadExtent(fd, extent), pool)) {
       out[update.prefix].push_back(std::move(update.route));
     }
   }

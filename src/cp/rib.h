@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -110,14 +109,16 @@ class Rib {
 };
 
 // Persistent storage for converged shard results (paper §3.1: "when this
-// round ends, we write it to persistent storage"). One file per
-// (shard, node) under a unique temp directory; files are real so the spill
-// path costs real I/O.
+// round ends, we write it to persistent storage"). All spills append to
+// one segment file per store, made on the first append under TMPDIR as
+// `s2-ribstore-<pid>-XXXXXX` and unlinked at once, so nothing outlives
+// the process however it ends. An index maps (shard, node) to the blob's
+// extent and lists each node's shards in first-write order; reads pread
+// just those extents. Create, write and read failures throw
+// util::StorageError (operation + errno text): RunStatus::kStorageError.
 class RibStore {
  public:
-  // Names a fresh directory under the system temp dir; it is created on
-  // the first on-disk Write, so an in-memory store never makes one.
-  RibStore();
+  RibStore() = default;
 
   // An overlay store: ReadAll merges `base`'s spills — skipping prefixes
   // in `masked` — with this store's own spills; writes land in this store
@@ -133,10 +134,9 @@ class RibStore {
   RibStore(const RibStore&) = delete;
   RibStore& operator=(const RibStore&) = delete;
 
-  // Thread-safe: workers spill concurrently; each (shard, node) pair is
-  // written by exactly one worker, so only the bookkeeping is shared.
-  // `stats_pool` (may be null) is credited with the batch's attribute
-  // dedup effect.
+  // Thread-safe: workers spill concurrently. Each blob's extent is
+  // reserved under the lock and written outside it. `stats_pool` (may be
+  // null) is credited with the batch's attribute dedup effect.
   void Write(int shard, topo::NodeId node,
              const std::map<util::IpPrefix, std::vector<Route>>& best,
              AttrPool* stats_pool = nullptr);
@@ -154,7 +154,7 @@ class RibStore {
 
   // Own spills for `node` restricted to the given shard indices (no base
   // layer): lets the incremental engine read just the shards its impact
-  // closure lives in instead of every file of the node.
+  // closure lives in instead of every blob of the node.
   std::map<util::IpPrefix, std::vector<Route>> ReadShards(
       topo::NodeId node, const std::unordered_set<int>& shards,
       AttrPool& pool) const;
@@ -164,33 +164,25 @@ class RibStore {
 
   // Routes written for the given prefixes, summed over every (shard, node)
   // spill — maintained at Write time so the incremental engine can account
-  // for the base routes its overlay masks without deserializing any file.
+  // for the base routes its overlay masks without reading any blob.
   size_t CountRoutes(const std::unordered_set<util::IpPrefix>& prefixes)
       const;
 
-  // With in-memory spills enabled (before any Write), Write keeps each
-  // (shard, node) blob in memory instead of a file — same serialized
-  // bytes, same counters, no disk round trip. The incremental engine
-  // enables this on its short-lived overlay store: a what-if run's spills
-  // never outlive the run, so durability buys nothing and the per-file
-  // create/write/read cost dominates the tiny re-simulated batches.
-  void EnableInMemorySpills() { in_memory_ = true; }
+  // Appends an already-serialized (shard, node) blob as if Write had
+  // produced it. The multi-process harness uses this to re-seed a
+  // respawned worker's store with the spills its dead predecessor shipped
+  // to the controller. Seeding indexes the blob for ReadAll but does not
+  // count toward bytes/routes_written (those count real spills, and the
+  // seeded blobs were counted by the original Write in the process that
+  // produced them). Re-seeding the same (shard, node) replaces the blob.
+  void SeedBlob(int shard, topo::NodeId node,
+                const std::vector<uint8_t>& bytes) {
+    Append(shard, node, bytes);
+  }
 
-  // Installs an already-serialized (shard, node) blob as if Write had
-  // produced it, forcing in-memory mode. The multi-process harness uses
-  // this to re-seed a respawned worker's store with the spills its dead
-  // predecessor shipped to the controller. Seeding records the entry for
-  // ReadAll but does not count toward bytes/routes_written (those count
-  // real spills, and the seeded blobs were counted by the original Write
-  // in the process that produced them). Re-seeding the same (shard, node)
-  // replaces the blob without duplicating the entry.
-  void SeedBlob(int shard, topo::NodeId node, std::vector<uint8_t> bytes);
-
-  // The in-memory blobs, keyed by (shard, node). Empty unless in-memory
-  // spills are enabled. Worker processes read this to ship their spill
-  // bytes to the controller.
-  std::map<std::pair<int, topo::NodeId>, std::vector<uint8_t>> OwnBlobs()
-      const;
+  // This store's serialized blobs of one shard, keyed by node. Worker
+  // processes ship these to the controller after each shard's spill.
+  std::map<topo::NodeId, std::vector<uint8_t>> OwnBlobs(int shard) const;
 
   // With capture enabled (before any Write), every Write also records the
   // node's FIB projection of the batch: per prefix with a *learned* front
@@ -207,25 +199,33 @@ class RibStore {
       topo::NodeId node) const;
 
  private:
-  // Merges this store's files for `node` into `out`, restricted to
+  struct Extent {
+    uint64_t offset, length;
+  };
+
+  // Appends `bytes` to the segment (creating it on first use) and indexes
+  // the extent under (shard, node); the caller holds no lock.
+  void Append(int shard, topo::NodeId node,
+              const std::vector<uint8_t>& bytes);
+  static std::vector<uint8_t> ReadExtent(int fd, Extent extent);
+
+  // Merges this store's blobs for `node` into `out`, restricted to
   // `shards` when non-null.
   void ReadOwnInto(topo::NodeId node, const std::unordered_set<int>* shards,
                    AttrPool& pool,
                    std::map<util::IpPrefix, std::vector<Route>>& out) const;
 
-  std::filesystem::path dir_;
-  std::once_flag dir_once_;
-  bool dir_created_ = false;  // set once, under dir_once_
-  mutable std::mutex mutex_;  // guards the counters and entries_
+  mutable std::mutex mutex_;  // guards the segment, index and counters
+  int fd_ = -1;               // the unlinked segment; -1 until first append
+  uint64_t end_ = 0;          // next free offset
+  std::map<std::pair<int, topo::NodeId>, Extent> extents_;
+  std::unordered_map<topo::NodeId, std::vector<int>> node_shards_;
   size_t bytes_written_ = 0;
   size_t routes_written_ = 0;
   std::map<util::IpPrefix, size_t> routes_per_prefix_;
-  bool in_memory_ = false;
-  std::map<std::pair<int, topo::NodeId>, std::vector<uint8_t>> blobs_;
   bool capture_projections_ = false;
   std::map<topo::NodeId, std::map<util::IpPrefix, std::vector<topo::NodeId>>>
       projections_;
-  std::vector<std::pair<int, topo::NodeId>> entries_;
 
   // Overlay layer (both empty/null for a plain store).
   std::shared_ptr<const RibStore> base_;

@@ -206,7 +206,7 @@ CtrlFrame DecodeCtrlFrame(const std::vector<uint8_t>& bytes) {
         throw util::WireFormatError("control response truncated");
       }
       uint8_t raw_status = bytes[pos++];
-      if (raw_status > static_cast<uint8_t>(CtrlStatus::kError)) {
+      if (raw_status > static_cast<uint8_t>(CtrlStatus::kStorageError)) {
         throw util::WireFormatError("unknown control status byte");
       }
       frame.status = static_cast<CtrlStatus>(raw_status);
@@ -934,6 +934,9 @@ void ProcessWorkerHandle::ThrowResponseError(const CtrlFrame& response) {
     case CtrlStatus::kTimeout:
       throw util::SimulatedTimeout("worker " + std::to_string(index_) +
                                    ": " + detail);
+    case CtrlStatus::kStorageError:
+      throw util::StorageError("worker " + std::to_string(index_) + ": " +
+                               detail);
     default:
       throw std::runtime_error("worker " + std::to_string(index_) +
                                " reported: " + detail);
@@ -1114,7 +1117,7 @@ void ProcessWorkerHandle::Deliver() {
 }
 
 void ProcessWorkerHandle::SpillBgp(cp::RibStore& /*store*/, int shard) {
-  // The authoritative spill bytes live in the child's in-memory store; the
+  // The authoritative spill bytes live in the child's own store; the
   // controller-side store is bypassed (TotalBestRoutes sums the handles'
   // counts instead of its routes_written).
   CtrlFrame frame;

@@ -120,9 +120,10 @@ enum class WorkerCommand : uint8_t {
 
 enum class CtrlStatus : uint8_t {
   kOk = 0,
-  kOom = 1,      // payload: EncodeOomError
-  kTimeout = 2,  // payload: what() string
-  kError = 3,    // payload: what() string
+  kOom = 1,           // payload: EncodeOomError
+  kTimeout = 2,       // payload: what() string
+  kError = 3,         // payload: what() string
+  kStorageError = 4,  // payload: what() string
 };
 
 struct CtrlFrame {

@@ -83,7 +83,6 @@ void InitState(ChildState& state, const WorkerInitSpec& spec) {
     cp::RepairShardPlan(*state.network, *state.plan);
   }
   state.store = std::make_shared<cp::RibStore>();
-  state.store->EnableInMemorySpills();
   state.fabric = std::make_unique<SidecarFabric>(spec.num_workers,
                                                  spec.assignment);
   state.pool = std::make_unique<util::ThreadPool>(
@@ -126,7 +125,6 @@ void Restore(ChildState& state, const WorkerRestoreSpec& spec) {
   // restored from the checkpoint — exactly what a cold process would have
   // held at the barrier — then the lost rounds replayed.
   state.store = std::make_shared<cp::RibStore>();
-  state.store->EnableInMemorySpills();
   for (const SpillBlob& blob : spec.spills) {
     state.store->SeedBlob(blob.shard, blob.node, blob.bytes);
   }
@@ -251,10 +249,8 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
           w.SpillBgp(*state.store, frame.shard);
           response.aux = state.store->routes_written() - routes_before;
           std::vector<SpillBlob> blobs;
-          for (auto& [key, bytes] : state.store->OwnBlobs()) {
-            if (key.first != frame.shard) continue;
-            blobs.push_back(SpillBlob{key.first, key.second,
-                                      std::move(bytes)});
+          for (auto& [node, bytes] : state.store->OwnBlobs(frame.shard)) {
+            blobs.push_back(SpillBlob{frame.shard, node, std::move(bytes)});
           }
           response.payload = EncodeSpillBlobs(blobs);
           break;
@@ -307,6 +303,10 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
       response.payload = EncodeOomError(e.domain(), e.requested(), e.budget());
     } catch (const util::SimulatedTimeout& e) {
       response.status = CtrlStatus::kTimeout;
+      const char* what = e.what();
+      response.payload.assign(what, what + strlen(what));
+    } catch (const util::StorageError& e) {
+      response.status = CtrlStatus::kStorageError;
       const char* what = e.what();
       response.payload.assign(what, what + strlen(what));
     } catch (const std::exception& e) {

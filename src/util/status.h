@@ -1,9 +1,10 @@
 // Minimal error-or-value plumbing used at module boundaries where a
-// failure is an expected outcome (parse errors, simulated OOM, timeouts)
-// rather than a programming error.
+// failure is an expected outcome (parse errors, simulated OOM, timeouts,
+// spill storage failures) rather than a programming error.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -70,6 +71,20 @@ class WireFormatError : public std::runtime_error {
  public:
   explicit WireFormatError(const std::string& what)
       : std::runtime_error("malformed wire bytes: " + what) {}
+};
+
+// Thrown by cp::RibStore when its spill segment cannot be created,
+// written or read back (a TMPDIR that is not a directory, a full disk, a
+// file-size limit). Verifier facades report it as
+// RunStatus::kStorageError instead of aborting the process.
+class StorageError : public std::runtime_error {
+ public:
+  // `op` names the failed operation; `err` is its errno.
+  StorageError(const std::string& op, int err)
+      : std::runtime_error("storage error: " + op + ": " +
+                           std::strerror(err)) {}
+  // Rebuilds an error from its what() text (a worker process's report).
+  explicit StorageError(const std::string& what) : std::runtime_error(what) {}
 };
 
 // A value-or-error result. Kept deliberately tiny; only the handful of

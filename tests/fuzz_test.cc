@@ -715,6 +715,15 @@ std::vector<dist::CtrlFrame> SampleCtrlFrames() {
     frames.push_back(f);
   }
   {
+    dist::CtrlFrame f;  // a storage-error response carrying the what() text
+    f.type = dist::CtrlType::kResponse;
+    f.command = dist::WorkerCommand::kSpillBgp;
+    f.status = dist::CtrlStatus::kStorageError;
+    const std::string what = "storage error: write spill segment: EFBIG";
+    f.payload.assign(what.begin(), what.end());
+    frames.push_back(f);
+  }
+  {
     dist::CtrlFrame f;  // a checkpoint ack carrying encoded worker state
     f.type = dist::CtrlType::kCheckpointAck;
     f.command = dist::WorkerCommand::kCheckpoint;
@@ -828,7 +837,7 @@ TEST(WireFuzzTest, OutOfRangeCtrlEnumBytesError) {
   rsp.type = dist::CtrlType::kResponse;
   rsp.command = dist::WorkerCommand::kInit;
   std::vector<uint8_t> rsp_bytes = dist::EncodeCtrlFrame(rsp);
-  for (int v : {4, 9, 255}) {
+  for (int v : {5, 9, 255}) {  // kStorageError = 4 is the last valid
     std::vector<uint8_t> corrupt = rsp_bytes;
     corrupt[2] = static_cast<uint8_t>(v);
     EXPECT_THROW(dist::DecodeCtrlFrame(corrupt), util::WireFormatError)

@@ -9,6 +9,8 @@
 // base, config edits degrade to a sound whole-network re-run).
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "test_networks.h"
 #include "topo/dcn.h"
 #include "topo/fattree.h"
+#include "unusable_tmpdir.h"
 #include "util/rng.h"
 
 namespace s2 {
@@ -316,6 +319,41 @@ TEST(IncrementalWhatIfTest, LocalFailureReusesMostOfTheBase) {
   EXPECT_GE(stats.queries_reused, 1u);
   ExpectMatchesColdRerun(*incremental, core::ApplyScenario(net, scenario),
                          options, queries, base, "local-failure");
+}
+
+// The overlay spills to a segment of its own; when that cannot be created
+// the what-if reports a storage status instead of aborting, and the base
+// (whose segment already exists) stays usable afterwards.
+TEST(IncrementalWhatIfTest, OverlayStorageErrorIsARunStatus) {
+  topo::FatTreeParams params;
+  params.k = 4;
+  config::ParsedNetwork net = testing::Parse(topo::MakeFatTree(params));
+  std::vector<dp::Query> queries = StandardQueries(net);
+
+  ControllerOptions options;
+  options.num_workers = 2;
+  options.num_shards = 4;
+  core::S2Verifier verifier(options);
+  core::VerifyResult base = verifier.Verify(net, queries);
+  ASSERT_TRUE(base.ok()) << base.failure_detail;
+
+  core::Scenario scenario =
+      core::FailNodeScenario(net.graph.FindByName("core-0-0"));
+  {
+    testing::UnusableTmpdir tmpdir;
+    std::optional<core::IncrementalResult> failed =
+        verifier.VerifyIncremental(scenario);
+    ASSERT_TRUE(failed.has_value());
+    EXPECT_EQ(failed->result.status, core::RunStatus::kStorageError);
+    EXPECT_NE(failed->result.failure_detail.find(std::strerror(ENOTDIR)),
+              std::string::npos)
+        << failed->result.failure_detail;
+  }
+  std::optional<core::IncrementalResult> incremental =
+      verifier.VerifyIncremental(scenario);
+  ASSERT_TRUE(incremental.has_value());
+  ExpectMatchesColdRerun(*incremental, core::ApplyScenario(net, scenario),
+                         options, queries, base, "after-storage-error");
 }
 
 // OSPF anywhere voids the BGP-only impact argument: the engine must take

@@ -1,11 +1,15 @@
 // MonoVerifier ("Batfish" baseline) tests: full-pipeline verdicts, OOM and
-// BDD-table overflow as results, sharded-mode equivalence, and phase
-// metric population.
+// BDD-table overflow and spill storage failure as results, sharded-mode
+// equivalence, and phase metric population.
 #include <gtest/gtest.h>
+
+#include <cerrno>
+#include <cstring>
 
 #include "core/mono.h"
 #include "test_networks.h"
 #include "topo/fattree.h"
+#include "unusable_tmpdir.h"
 
 namespace s2::core {
 namespace {
@@ -95,10 +99,28 @@ TEST(MonoVerifierTest, NonConvergenceIsTimeoutVerdict) {
   EXPECT_EQ(result.status, RunStatus::kTimeout);
 }
 
+// A sharded run whose spill segment cannot be created reports a storage
+// status carrying the errno text instead of aborting.
+TEST(MonoVerifierTest, SpillStorageErrorIsARunStatus) {
+  topo::FatTreeParams params;
+  params.k = 4;
+  auto net = testing::Parse(topo::MakeFatTree(params));
+  MonoOptions options;
+  options.num_shards = 3;
+  MonoVerifier verifier(options);
+  testing::UnusableTmpdir tmpdir;
+  VerifyResult result = verifier.Verify(net, {EdgeQuery(net)});
+  EXPECT_EQ(result.status, RunStatus::kStorageError);
+  EXPECT_NE(result.failure_detail.find(std::strerror(ENOTDIR)),
+            std::string::npos)
+      << result.failure_detail;
+}
+
 TEST(MonoVerifierTest, RunStatusNamesAndFormatters) {
   EXPECT_STREQ(RunStatusName(RunStatus::kOk), "ok");
   EXPECT_STREQ(RunStatusName(RunStatus::kOutOfMemory), "OOM");
   EXPECT_STREQ(RunStatusName(RunStatus::kTimeout), "timeout");
+  EXPECT_STREQ(RunStatusName(RunStatus::kStorageError), "storage_error");
   EXPECT_EQ(HumanBytes(1500), "1.5 KB");
   EXPECT_EQ(HumanBytes(2'500'000), "2.5 MB");
   EXPECT_EQ(HumanBytes(3'200'000'000ull), "3.20 GB");

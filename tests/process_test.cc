@@ -16,6 +16,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "dist/process.h"
 #include "test_networks.h"
 #include "topo/dcn.h"
+#include "unusable_tmpdir.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -199,25 +201,63 @@ TEST(ProcessWorkers, DifferentialSharded) {
   EXPECT_GT(proc.last_controller()->process_stats()->heartbeats.load(), 0u);
 }
 
-// Child stores keep their spills in memory and the child _Exits without
-// running destructors, so a child must never create a spill directory.
-TEST(ProcessWorkers, ChildrenLeaveNoSpillDirectories) {
-  dp::Query query = EdgeQuery(DefaultDcn());
-  core::S2Verifier proc(BaseOptions(3, 4, WorkerMode::kProcess));
-  core::VerifyResult got = proc.Verify(DefaultDcn(), {query});
-  ASSERT_EQ(got.status, core::RunStatus::kOk) << got.failure_detail;
-  std::vector<int> pids = CollectPids(*proc.last_controller());
-  ASSERT_FALSE(pids.empty());
-  std::error_code ec;
+// This process's and every child's spill-segment entries under the temp
+// dir (named s2-ribstore-<pid>-*).
+std::vector<std::string> SpillEntriesOf(const std::vector<int>& pids) {
+  std::vector<std::string> found;
   for (const auto& entry : std::filesystem::directory_iterator(
-           std::filesystem::temp_directory_path(), ec)) {
+           std::filesystem::temp_directory_path())) {
     std::string name = entry.path().filename().string();
     for (int pid : pids) {
-      EXPECT_NE(name.rfind("s2-ribstore-" + std::to_string(pid) + "-", 0), 0u)
-          << "child " << pid << " left " << entry.path();
+      if (name.rfind("s2-ribstore-" + std::to_string(pid) + "-", 0) == 0) {
+        found.push_back(name);
+      }
     }
   }
-  EXPECT_FALSE(ec) << ec.message();
+  return found;
+}
+
+// Child stores spill to an unlinked segment, so even a child SIGKILLed
+// after spilling every shard leaves no named entry behind — neither do its
+// respawned successor (seeded with the shipped blobs) or the survivors.
+TEST(ProcessWorkers, KilledChildLeavesNoSpillSegment) {
+  dp::Query query = EdgeQuery(DefaultDcn());
+  std::vector<int> pids;
+  {
+    dist::Controller controller(DefaultDcn(),
+                                BaseOptions(3, 4, WorkerMode::kProcess));
+    controller.Setup();
+    controller.RunControlPlane();
+
+    auto* handle = dynamic_cast<ProcessWorkerHandle*>(&controller.handle(1));
+    ASSERT_NE(handle, nullptr);
+    ASSERT_GT(handle->child_pid(), 0);
+    ASSERT_EQ(kill(handle->child_pid(), SIGKILL), 0);
+
+    controller.BuildDataPlanes();
+    controller.RunQuery(query);
+    EXPECT_GE(controller.worker_recoveries(), 1u);
+    pids = CollectPids(controller);
+    pids.push_back(getpid());
+    EXPECT_EQ(SpillEntriesOf(pids), std::vector<std::string>{});
+  }
+  EXPECT_EQ(SpillEntriesOf(pids), std::vector<std::string>{});
+}
+
+// A spill segment that cannot be created is a structured run status in
+// both worker modes; a child's errno text crosses the control channel.
+TEST(ProcessWorkers, StorageErrorCrossesTheProcessBoundary) {
+  dp::Query query = EdgeQuery(DefaultDcn());
+  testing::UnusableTmpdir tmpdir;
+  for (WorkerMode mode : {WorkerMode::kInProcess, WorkerMode::kProcess}) {
+    core::S2Verifier verifier(BaseOptions(2, 2, mode));
+    core::VerifyResult result = verifier.Verify(DefaultDcn(), {query});
+    EXPECT_EQ(result.status, core::RunStatus::kStorageError)
+        << dist::WorkerModeName(mode);
+    EXPECT_NE(result.failure_detail.find(std::strerror(ENOTDIR)),
+              std::string::npos)
+        << dist::WorkerModeName(mode) << ": " << result.failure_detail;
+  }
 }
 
 // One worker SIGKILLed between the control-plane and data-plane phases:
