@@ -1,16 +1,18 @@
 // Shared scaffolding for the figure-reproduction benchmarks.
 //
 // Scale-down calibration (DESIGN.md substitution S8): the paper's testbed
-// gives every worker 100 GB; exceeding it is an OOM. We run FatTree
-// k ∈ {6, 8, 10, 12} against a 9 MB per-worker budget (kWorkerBudget)
-// chosen so the OOM and timeout crossovers land at the same *relative*
-// points as the paper:
+// gives every worker 100 GB; exceeding it is an OOM. The defaults below
+// (S2Options, MonoOptions) use a 9 MiB (9.4 MB) per-worker budget,
+// kWorkerBudget. fig5_fattree_scale and fig8_sharding run FatTree
+// k ∈ {6, 8, 10, 12} against a tighter 4 MiB (4.2 MB) budget, chosen so the
+// OOM and timeout crossovers land at the same *relative* points as the
+// paper. What fig5_fattree_scale prints at that budget (peaks per worker):
 //
 //   paper            here            what happens at the budget
-//   FatTree40 (2000) k=6  (45 sw)    Batfish fits (3.5 MB)
-//   FatTree60 (4500) k=8  (80 sw)    Batfish OOMs (13 MB), S2-1w fits
-//   FatTree80 (8000) k=10 (125 sw)   S2-8w fits (~5 MB/worker)
-//   FatTree90 (10K)  k=12 (180 sw)   only S2-16w + sharding fits
+//   FatTree40 (2000) k=6  (45 sw)    Batfish fits (1.3 MB)
+//   FatTree60 (4500) k=8  (80 sw)    Batfish OOMs, S2-1w fits (1.6 MB)
+//   FatTree80 (8000) k=10 (125 sw)   S2-1w fits (3.7 MB), Bonsai times out
+//   FatTree90 (10K)  k=12 (180 sw)   S2-1w OOMs, S2-8w fits (1.1 MB)
 //
 // Bonsai's modeled compression cost and deadline are scaled the same way
 // (the 2-hour wall becomes kBonsaiDeadline).

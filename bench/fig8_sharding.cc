@@ -11,13 +11,11 @@ using namespace s2::bench;
 
 int main(int argc, char** argv) {
   ObsOptions obs = ParseObsFlags(argc, argv);
-  std::printf("=== Figure 8: sharding on/off across FatTree sizes "
-              "(s2-16w, budget %s) ===\n\n",
-              core::HumanBytes(kWorkerBudget).c_str());
-  // Tighter budget than Figure 5: Figure 8 isolates control-plane
+  // Tighter than kWorkerBudget: Figure 8 isolates control-plane
   // simulation, whose unsharded peak must cross the wall at k=12.
   const size_t budget = 4u << 20;
-  std::printf("control-plane only, per-worker budget %s\n\n",
+  std::printf("=== Figure 8: sharding on/off across FatTree sizes "
+              "(s2-16w, control-plane only, per-worker budget %s) ===\n\n",
               core::HumanBytes(budget).c_str());
   std::printf("%-22s %9s %14s %12s\n", "configuration", "status",
               "modeled-time", "peak-mem");

@@ -19,7 +19,7 @@ Controller::~Controller() = default;
 void Controller::Setup() {
   obs::Span span("controller", "controller.partition");
   // Resolve the header layout against the network's address families up
-  // front: every manager/codec below (workers, lanes, gather, snapshots)
+  // front: every manager/codec below (workers, gather, snapshots)
   // must agree on variable numbering.
   options_.layout = dp::LayoutForNetwork(network_, options_.layout);
   span.Arg("workers", options_.num_workers);
@@ -44,9 +44,6 @@ void Controller::Setup() {
         /*keep_replay_log=*/injector_ != nullptr || process);
   }
 
-  // The pool must exist before the workers: worker options carry the pool
-  // pointer so the data-plane lanes can fan out on it (and RecoverWorker
-  // re-creates workers from the same options later).
   size_t threads = options_.pool_threads;
   if (threads == 0) {
     threads = std::min<size_t>(options_.num_workers,
@@ -59,8 +56,6 @@ void Controller::Setup() {
   worker_options_.max_bdd_nodes = options_.max_bdd_nodes;
   worker_options_.layout = options_.layout;
   worker_options_.max_hops = options_.max_hops;
-  worker_options_.dp_lanes = options_.dp_lanes;
-  worker_options_.pool = pool_.get();
   handles_.clear();
   if (process) {
     if (network_.source_texts.empty()) {
@@ -82,7 +77,6 @@ void Controller::Setup() {
     spec.layout_meta_bits = options_.layout.meta_bits;
     spec.layout_family_bits = options_.layout.family_bits;
     spec.max_hops = options_.max_hops;
-    spec.dp_lanes = options_.dp_lanes;
     spec.num_shards = options_.num_shards;
     spec.seed = options_.seed;
     spec.heartbeat_interval_ms = static_cast<uint32_t>(
@@ -236,9 +230,7 @@ Controller::QueryOutcome Controller::RunQuery(const dp::Query& query) {
   QueryOutcome outcome;
   outcome.metrics = run.metrics;
   outcome.gather_bytes = run.gather_bytes;
-  for (const auto& worker : handles_) {
-    outcome.forwarding_steps += worker->forwarding_steps();
-  }
+  outcome.forwarding_steps = run.forwarding_steps;
   outcome.result =
       dp::EvaluateQuery(query, gather_codec, run.finals, network_);
   // Queries mutate no durable worker state; truncating the replay logs at
@@ -266,6 +258,7 @@ Controller::MultiQueryOutcome Controller::RunQueries(
     QueryOutcome one;
     one.metrics = multi.runs[q].metrics;
     one.gather_bytes = multi.runs[q].gather_bytes;
+    one.forwarding_steps = multi.runs[q].forwarding_steps;
     one.result = dp::EvaluateQuery(queries[q], gather_codec,
                                    multi.runs[q].finals, network_);
     outcome.outcomes.push_back(std::move(one));

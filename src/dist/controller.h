@@ -34,9 +34,6 @@ struct ControllerOptions {
   CostModelParams cost;
   // Thread pool size; 0 = min(num_workers, hardware concurrency).
   size_t pool_threads = 0;
-  // Intra-worker data-plane lanes (dp/parallel.h); 1 keeps the sequential
-  // per-worker engine.
-  uint32_t dp_lanes = 1;
   // Query-level parallelism for RunQueries: how many queries the modeled
   // schedule may run concurrently (0 = one per query, capped at 8).
   size_t query_lanes = 0;

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "bdd/bdd_io.h"
-#include "fault/checkpoint.h"
+#include "dist/domain.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
 
@@ -12,8 +11,8 @@ namespace s2::dist {
 
 namespace {
 
-// Summed op-cache counters across every worker's data-plane lanes; used to
-// report per-phase deltas in RoundMetrics.
+// Summed op-cache counters across every worker's data-plane manager; used
+// to report per-phase deltas in RoundMetrics.
 bdd::Manager::CacheStats SumWorkerCacheStats(
     const std::vector<std::unique_ptr<WorkerHandle>>& workers) {
   bdd::Manager::CacheStats total;
@@ -141,16 +140,10 @@ Dpo::QueryRun Dpo::RunQuery(const dp::Query& query,
 
   // Gather finals into the controller's domain (serialized BDD transfer).
   for (const auto& worker : *workers_) {
-    for (SerializedFinal& final : worker->local()->TakeFinals()) {
+    run.forwarding_steps += worker->forwarding_steps();
+    for (const dp::SerializedFinal& final : worker->local()->TakeFinals()) {
       run.gather_bytes += final.WireBytes();
-      dp::FinalPacket packet;
-      packet.src = final.src;
-      packet.node = final.node;
-      packet.state = final.state;
-      packet.path = std::move(final.path);
-      packet.set =
-          bdd::DeserializeInto(*gather_codec.manager(), final.set);
-      run.finals.push_back(std::move(packet));
+      run.finals.push_back(dp::FromWire(final, *gather_codec.manager()));
     }
   }
   RecordCacheDelta(run.metrics, cache_before, SumWorkerCacheStats(*workers_));
@@ -178,135 +171,58 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
     snapshots[w] = (*workers_)[w]->SnapshotPredicates();
   });
 
-  struct QueryOutput {
-    std::vector<SerializedFinal> finals;  // worker-major, deterministic
-    double busy_seconds = 0;              // thread-CPU time of the task
-  };
-  std::vector<QueryOutput> outputs(queries.size());
+  std::vector<std::vector<dp::SerializedFinal>> finals(queries.size());
+  std::vector<double> busy(queries.size(), 0.0);  // thread-CPU per task
 
   pool_->ParallelFor(queries.size(), [&](size_t q) {
     obs::Span query_span("dp", "dp.query");
     query_span.Arg("query", static_cast<int64_t>(q));
-    const dp::Query& query = queries[q];
-    RoundMetrics& metrics = multi.runs[q].metrics;
+    util::Stopwatch task_wall;
     double cpu_start = util::ThreadCpuSeconds();
 
     // Per-query, per-worker shared-nothing domains; node bytes are charged
     // to the owning worker's tracker (atomic, so concurrent queries are
     // race-free and per-worker budgets still bind).
-    std::vector<std::unique_ptr<bdd::Manager>> managers;
-    std::vector<std::unique_ptr<dp::ForwardingEngine>> engines;
+    std::vector<std::unique_ptr<dp::Domain>> owned;
+    std::vector<dp::Domain*> domains;
     bdd::Manager::Options manager_options;
     manager_options.max_nodes = worker_options_.max_bdd_nodes;
     for (size_t w = 0; w < num_workers; ++w) {
       manager_options.tracker = &(*workers_)[w]->query_tracker();
-      managers.push_back(std::make_unique<bdd::Manager>(
-          worker_options_.layout.total_bits(), manager_options));
-      dp::PacketCodec codec(managers[w].get(), worker_options_.layout);
-      dp::ForwardingEngine::Options engine_options;
-      engine_options.max_hops = worker_options_.max_hops;
-      engines.push_back(
-          std::make_unique<dp::ForwardingEngine>(codec, engine_options));
-      for (const auto& [id, bytes] : snapshots[w]) {
-        engines[w]->AddNode(
-            id, fault::DeserializePredicates(*managers[w], bytes));
-      }
+      owned.push_back(BuildDomain(snapshots[w], worker_options_.layout,
+                                  worker_options_.max_hops, manager_options));
+      domains.push_back(owned.back().get());
+      dp::InstallQuery(domains.back()->engine, queries[q]);
     }
+    CrossingRun crossing =
+        ForwardAcrossDomains(domains, fabric_->assignment());
 
-    // PrepareQuery, per domain.
-    for (size_t w = 0; w < num_workers; ++w) {
-      engines[w]->set_record_paths(query.record_paths);
-      for (size_t i = 0; i < query.transits.size(); ++i) {
-        if (engines[w]->Owns(query.transits[i])) {
-          engines[w]->SetWaypointBit(query.transits[i],
-                                     static_cast<uint32_t>(i));
-        }
-      }
-      bdd::Bdd header_space = query.header_space.ToBdd(engines[w]->codec());
-      for (topo::NodeId src : query.sources) {
-        if (engines[w]->Owns(src)) engines[w]->Inject(src, header_space);
-      }
-    }
-
-    // The sequential fabric round loop, replayed over a query-private
-    // exchange: run every domain to quiescence, ferry the crossing packets
-    // (serialized, like the sidecars would), repeat until silent.
-    std::vector<dp::WirePacket> crossing;
-    for (;;) {
-      size_t steps_before = 0, steps_after = 0;
-      for (size_t w = 0; w < num_workers; ++w) {
-        steps_before += engines[w]->steps();
-        engines[w]->Run([&](const dp::InFlightPacket& packet) {
-          dp::WirePacket wire;
-          wire.at = packet.at;
-          wire.from = packet.from;
-          wire.src = packet.src;
-          wire.hops = packet.hops;
-          wire.path = packet.path;
-          wire.set = bdd::Serialize(packet.set);
-          crossing.push_back(std::move(wire));
-        });
-        steps_after += engines[w]->steps();
-      }
-      ++metrics.rounds;
-      if (crossing.empty()) {
-        if (steps_after == steps_before) break;
-        continue;
-      }
-      for (const dp::WirePacket& wire : crossing) {
-        metrics.comm_bytes += wire.WireBytes();
-        ++metrics.comm_messages;
-        uint32_t dest = fabric_->WorkerOf(wire.at);
-        dp::InFlightPacket packet;
-        packet.at = wire.at;
-        packet.from = wire.from;
-        packet.src = wire.src;
-        packet.hops = wire.hops;
-        packet.path = wire.path;
-        packet.set = bdd::DeserializeInto(*managers[dest], wire.set);
-        engines[dest]->Accept(std::move(packet));
-      }
-      crossing.clear();
-    }
-
-    // Finals in worker-major order — the order RunQuery gathers in.
-    for (size_t w = 0; w < num_workers; ++w) {
-      for (const dp::FinalPacket& final : engines[w]->finals()) {
-        SerializedFinal serialized;
-        serialized.src = final.src;
-        serialized.node = final.node;
-        serialized.state = final.state;
-        serialized.path = final.path;
-        serialized.set = bdd::Serialize(final.set);
-        outputs[q].finals.push_back(std::move(serialized));
-      }
-    }
+    RoundMetrics& metrics = multi.runs[q].metrics;
+    metrics.rounds = crossing.rounds;
+    metrics.comm_bytes = crossing.comm_bytes;
+    metrics.comm_messages = crossing.comm_messages;
+    multi.runs[q].forwarding_steps = crossing.steps;
+    finals[q] = std::move(crossing.finals);
     bdd::Manager::CacheStats cache;
-    for (const auto& manager : managers) {
-      cache.hits += manager->cache_stats().hits;
-      cache.misses += manager->cache_stats().misses;
-      cache.evictions += manager->cache_stats().evictions;
+    for (const dp::Domain* domain : domains) {
+      cache.hits += domain->manager.cache_stats().hits;
+      cache.misses += domain->manager.cache_stats().misses;
+      cache.evictions += domain->manager.cache_stats().evictions;
     }
     RecordCacheDelta(metrics, bdd::Manager::CacheStats{}, cache);
-    outputs[q].busy_seconds = util::ThreadCpuSeconds() - cpu_start;
+    busy[q] = util::ThreadCpuSeconds() - cpu_start;
     metrics.modeled_seconds =
-        outputs[q].busy_seconds +
-        double(metrics.comm_bytes) / cost_.bandwidth_bytes_per_sec;
+        busy[q] + double(metrics.comm_bytes) / cost_.bandwidth_bytes_per_sec;
+    metrics.wall_seconds = task_wall.ElapsedSeconds();
   });
 
   // Gather sequentially: the controller's manager is shared, and (query,
   // worker) order keeps the result deterministic.
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryRun& run = multi.runs[q];
-    for (SerializedFinal& final : outputs[q].finals) {
+    for (const dp::SerializedFinal& final : finals[q]) {
       run.gather_bytes += final.WireBytes();
-      dp::FinalPacket packet;
-      packet.src = final.src;
-      packet.node = final.node;
-      packet.state = final.state;
-      packet.path = std::move(final.path);
-      packet.set = bdd::DeserializeInto(*gather_codec.manager(), final.set);
-      run.finals.push_back(std::move(packet));
+      run.finals.push_back(dp::FromWire(final, *gather_codec.manager()));
     }
     multi.aggregate.rounds =
         std::max(multi.aggregate.rounds, run.metrics.rounds);
@@ -320,11 +236,6 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
   // Modeled parallel time: LPT makespan of per-query busy over `lanes`
   // slots (queries are independent; a real L-thread box would greedily
   // pack them).
-  std::vector<double> busy;
-  busy.reserve(queries.size());
-  for (const QueryOutput& output : outputs) {
-    busy.push_back(output.busy_seconds);
-  }
   std::sort(busy.begin(), busy.end(), std::greater<double>());
   std::vector<double> slots(std::min(lanes, busy.size()), 0.0);
   if (slots.empty()) slots.push_back(0.0);

@@ -37,6 +37,7 @@ class Dpo {
     // Finals re-encoded in the controller's manager via `gather_codec`.
     std::vector<dp::FinalPacket> finals;
     size_t gather_bytes = 0;
+    size_t forwarding_steps = 0;  // summed engine steps of this query
   };
 
   QueryRun RunQuery(const dp::Query& query,
@@ -45,13 +46,13 @@ class Dpo {
   // Query-level parallelism: independent queries run concurrently, each on
   // a private set of per-worker BDD domains rebuilt from the workers'
   // canonical predicate bytes (SnapshotPredicates) — managers stay
-  // shared-nothing, per-query and per-worker. Each query replicates the
-  // sequential round structure over a query-private exchange, so its
-  // finals match RunQuery's byte for byte (pinned by the differential
-  // tests). `lanes` bounds the modeled concurrency: per-query busy is
-  // measured as thread-CPU time and the aggregate's modeled_seconds is the
-  // LPT makespan of those busies over `lanes` slots (DESIGN.md §3 — this
-  // 1-core box interleaves; the model reports what an L-thread box would).
+  // shared-nothing, per-query and per-worker. Each query runs
+  // ForwardAcrossDomains (dist/domain.h), so its finals match RunQuery's
+  // byte for byte (pinned by the differential tests). `lanes` bounds the
+  // modeled concurrency: per-query busy is measured as thread-CPU time and
+  // the aggregate's modeled_seconds is the LPT makespan of those busies
+  // over `lanes` slots (DESIGN.md §3 — this 1-core box interleaves; the
+  // model reports what an L-thread box would).
   struct MultiQueryRun {
     std::vector<QueryRun> runs;  // per query, in input order
     RoundMetrics aggregate;

@@ -11,17 +11,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "dp/parallel.h"
+#include "dp/forwarding.h"
 #include "topo/graph.h"
 
 namespace s2::dist {
 
-// kPacketBatch carries many symbolic-packet frames in one payload: the
-// parallel data plane emits packets per hop level, so a worker typically
-// has several frames for the same destination worker per round — batching
-// them amortizes the per-message envelope (paper §3.2, sidecars stream
-// packet pages, not single packets). kSymbolicPacket remains for
-// single-packet sends.
+// kPacketBatch carries many symbolic-packet frames in one payload: a
+// worker's engine typically emits several frames for the same destination
+// worker per round — batching them amortizes the per-message envelope
+// (paper §3.2, sidecars stream packet pages, not single packets).
+// kSymbolicPacket remains for single-packet sends.
 enum class MessageType : uint8_t {
   kRouteUpdates,
   kSymbolicPacket,

@@ -252,7 +252,6 @@ std::vector<uint8_t> EncodeWorkerInitSpec(const WorkerInitSpec& spec) {
   PutWireU32(out, spec.layout_meta_bits);
   PutWireU32(out, spec.layout_family_bits);
   PutWireU32(out, static_cast<uint32_t>(spec.max_hops));
-  PutWireU32(out, spec.dp_lanes);
   PutWireU32(out, static_cast<uint32_t>(spec.num_shards));
   PutWireU64(out, spec.seed);
   PutWireU32(out, spec.heartbeat_interval_ms);
@@ -275,7 +274,6 @@ WorkerInitSpec DecodeWorkerInitSpec(const std::vector<uint8_t>& bytes) {
   spec.layout_meta_bits = GetWireU32(bytes, pos);
   spec.layout_family_bits = GetWireU32(bytes, pos);
   spec.max_hops = static_cast<int32_t>(GetWireU32(bytes, pos));
-  spec.dp_lanes = GetWireU32(bytes, pos);
   spec.num_shards = static_cast<int32_t>(GetWireU32(bytes, pos));
   spec.seed = GetWireU64(bytes, pos);
   spec.heartbeat_interval_ms = GetWireU32(bytes, pos);

@@ -183,7 +183,6 @@ struct WorkerInitSpec {
   uint32_t layout_meta_bits = 0;
   uint32_t layout_family_bits = 0;
   int32_t max_hops = 24;
-  uint32_t dp_lanes = 1;
   int32_t num_shards = 0;
   uint64_t seed = 1;
   uint32_t heartbeat_interval_ms = 50;

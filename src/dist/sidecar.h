@@ -49,6 +49,7 @@ class SidecarFabric {
 
   uint32_t num_workers() const { return num_workers_; }
   uint32_t WorkerOf(topo::NodeId node) const { return assignment_[node]; }
+  const std::vector<uint32_t>& assignment() const { return assignment_; }
   TransportKind transport_kind() const { return transport_->kind(); }
 
   // Switches the fabric to reliable delivery. `injector` (may be null for

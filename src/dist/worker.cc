@@ -1,7 +1,8 @@
 #include "dist/worker.h"
 
-#include "bdd/bdd_io.h"
+#include "dist/domain.h"
 #include "dp/fib.h"
+#include "obs/trace.h"
 
 namespace s2::dist {
 
@@ -125,19 +126,17 @@ void Worker::RetainBgp() {
 
 // ------------------------------------------------------------- data plane
 
-dp::ParallelForwarding::Options Worker::DataPlaneOptions() {
-  dp::ParallelForwarding::Options dp_options;
-  dp_options.lanes = options_.dp_lanes;
-  dp_options.max_hops = options_.max_hops;
-  dp_options.layout = options_.layout;
-  dp_options.manager.max_nodes = options_.max_bdd_nodes;
-  dp_options.manager.tracker = &tracker_;
-  return dp_options;
+bdd::Manager::Options Worker::DomainOptions() {
+  bdd::Manager::Options manager;
+  manager.max_nodes = options_.max_bdd_nodes;
+  manager.tracker = &tracker_;
+  return manager;
 }
 
 void Worker::BuildDataPlane(const cp::RibStore* store) {
   util::Stopwatch watch;
-  dp_ = std::make_unique<dp::ParallelForwarding>(DataPlaneOptions());
+  dp_ = std::make_unique<dp::Domain>(options_.layout, options_.max_hops,
+                                     DomainOptions());
   for (topo::NodeId id : local_) {
     const cp::Node& node = *nodes_.at(id);
     std::map<util::IpPrefix, std::vector<cp::Route>> from_store;
@@ -151,9 +150,8 @@ void Worker::BuildDataPlane(const cp::RibStore* store) {
     fib_bytes_ += fib.EstimateBytes();
     node_fib_bytes_[id] = fib.EstimateBytes();
     fib_edges_[id] = fib.ForwardEdges();
-    // Predicates are built in the owning lane's manager.
-    const dp::PacketCodec& codec = dp_->BeginNode(id);
-    dp_->AddNode(id, dp::BuildPredicates(*network_, id, fib, codec));
+    dp_->engine.AddNode(
+        id, dp::BuildPredicates(*network_, id, fib, dp_->engine.codec()));
   }
   predicate_seconds_ += watch.ElapsedSeconds();
   last_phase_seconds_ = watch.ElapsedSeconds();
@@ -164,15 +162,15 @@ void Worker::BuildDataPlaneHybrid(
     const ReusableDataPlane& reuse) {
   ResetDataPlane();
   util::Stopwatch watch;
-  dp_ = std::make_unique<dp::ParallelForwarding>(DataPlaneOptions());
+  dp_ = std::make_unique<dp::Domain>(options_.layout, options_.max_hops,
+                                     DomainOptions());
   for (topo::NodeId id : local_) {
-    const dp::PacketCodec& codec = dp_->BeginNode(id);
     if (rebuild.count(id) == 0) {
       // The scenario provably left this node's converged FIB untouched:
       // re-encode the base run's canonical predicate bytes instead of
       // recomputing, and adopt its forward edges and FIB accounting.
-      dp_->AddNode(id, fault::DeserializePredicates(
-                           *codec.manager(), reuse.predicates->at(id)));
+      dp_->engine.AddNode(id, fault::DeserializePredicates(
+                                  dp_->manager, reuse.predicates->at(id)));
       size_t bytes = reuse.fib_bytes->at(id);
       tracker_.Charge(bytes);
       fib_bytes_ += bytes;
@@ -192,23 +190,15 @@ void Worker::BuildDataPlaneHybrid(
     fib_bytes_ += fib.EstimateBytes();
     node_fib_bytes_[id] = fib.EstimateBytes();
     fib_edges_[id] = fib.ForwardEdges();
-    dp_->AddNode(id, dp::BuildPredicates(*network_, id, fib, codec));
+    dp_->engine.AddNode(
+        id, dp::BuildPredicates(*network_, id, fib, dp_->engine.codec()));
   }
   predicate_seconds_ += watch.ElapsedSeconds();
   last_phase_seconds_ = watch.ElapsedSeconds();
 }
 
 void Worker::PrepareQuery(const dp::Query& query) {
-  dp_->ResetQueryState();
-  dp_->set_record_paths(query.record_paths);
-  for (size_t i = 0; i < query.transits.size(); ++i) {
-    if (IsLocal(query.transits[i])) {
-      dp_->SetWaypointBit(query.transits[i], static_cast<uint32_t>(i));
-    }
-  }
-  for (topo::NodeId src : query.sources) {
-    if (IsLocal(src)) dp_->Inject(src, query.header_space);
-  }
+  dp::InstallQuery(dp_->engine, query);
 }
 
 bool Worker::AcceptPackets() {
@@ -216,8 +206,8 @@ bool Worker::AcceptPackets() {
   bool any = false;
   for (Message& message : fabric_->Drain(index_)) {
     if (message.type == MessageType::kPacketBatch) {
-      for (dp::WirePacket& frame : DecodePacketBatch(message.payload)) {
-        dp_->Accept(frame);
+      for (const dp::WirePacket& frame : DecodePacketBatch(message.payload)) {
+        dp_->engine.Accept(dp::FromWire(frame, dp_->manager));
         any = true;
       }
       continue;
@@ -230,7 +220,7 @@ bool Worker::AcceptPackets() {
     frame.hops = message.packet_hops;
     frame.path = std::move(message.packet_path);
     frame.set = std::move(message.payload);
-    dp_->Accept(frame);
+    dp_->engine.Accept(dp::FromWire(frame, dp_->manager));
     any = true;
   }
   last_phase_seconds_ = watch.ElapsedSeconds();
@@ -239,14 +229,15 @@ bool Worker::AcceptPackets() {
 
 bool Worker::ForwardAndShip() {
   util::Stopwatch watch;
-  size_t steps_before = dp_->steps();
+  obs::Span span("dp", "dp.worker_forward");
+  span.Arg("worker", index_);
+  size_t steps_before = dp_->engine.steps();
   // Buffer emissions per destination worker; one kPacketBatch per
   // destination amortizes the message envelope, and sending after the run
-  // (in ascending destination order) keeps the fabric order deterministic
-  // regardless of the lane schedule.
+  // (in ascending destination order) keeps the fabric order deterministic.
   std::map<uint32_t, std::vector<dp::WirePacket>> outgoing;
-  dp_->Run(options_.pool, [&](const dp::WirePacket& frame) {
-    outgoing[fabric_->WorkerOf(frame.at)].push_back(frame);
+  dp_->engine.Run([&](const dp::InFlightPacket& packet) {
+    outgoing[fabric_->WorkerOf(packet.at)].push_back(dp::ToWire(packet));
   });
   for (auto& [dest, frames] : outgoing) {
     Message message;
@@ -257,21 +248,13 @@ bool Worker::ForwardAndShip() {
     fabric_->Send(index_, std::move(message));
   }
   last_phase_seconds_ += watch.ElapsedSeconds();
-  return dp_->steps() != steps_before;
+  return dp_->engine.steps() != steps_before;
 }
 
-std::vector<SerializedFinal> Worker::TakeFinals() {
-  std::vector<SerializedFinal> out;
-  for (size_t lane = 0; lane < dp_->lanes(); ++lane) {
-    for (const dp::FinalPacket& final : dp_->lane_engine(lane).finals()) {
-      SerializedFinal serialized;
-      serialized.src = final.src;
-      serialized.node = final.node;
-      serialized.state = final.state;
-      serialized.path = final.path;
-      serialized.set = bdd::Serialize(final.set);
-      out.push_back(std::move(serialized));
-    }
+std::vector<dp::SerializedFinal> Worker::TakeFinals() {
+  std::vector<dp::SerializedFinal> out;
+  for (const dp::FinalPacket& final : dp_->engine.finals()) {
+    out.push_back(dp::ToWire(final));
   }
   return out;
 }
@@ -281,7 +264,8 @@ std::map<topo::NodeId, std::vector<uint8_t>> Worker::SnapshotPredicates(
   std::map<topo::NodeId, std::vector<uint8_t>> snapshot;
   for (topo::NodeId id : local_) {
     if (only != nullptr && only->count(id) == 0) continue;
-    snapshot[id] = fault::SerializePredicates(dp_->node_predicates(id));
+    snapshot[id] =
+        fault::SerializePredicates(dp_->engine.node_predicates(id));
   }
   return snapshot;
 }
@@ -313,7 +297,7 @@ void Worker::CheckpointDataPlane(fault::WorkerCheckpoint& checkpoint) const {
   checkpoint.predicate_state.clear();
   for (topo::NodeId id : local_) {
     checkpoint.predicate_state[id] =
-        fault::SerializePredicates(dp_->node_predicates(id));
+        fault::SerializePredicates(dp_->engine.node_predicates(id));
   }
 }
 
@@ -339,17 +323,11 @@ void Worker::ReplayDelivered(int from_round, int to_round,
 
 void Worker::RestoreDataPlane(const fault::WorkerCheckpoint& checkpoint) {
   util::Stopwatch watch;
-  dp_ = std::make_unique<dp::ParallelForwarding>(DataPlaneOptions());
+  dp_ = BuildDomain(checkpoint.predicate_state, options_.layout,
+                    options_.max_hops, DomainOptions());
   // Checkpoints carry predicate bytes, not FIBs, so the forward-edge index
   // is lost on recovery (see fib_edges() in the header).
   fib_edges_.clear();
-  // local_ is rebuilt in the same order by the constructor, so BeginNode
-  // reproduces the pre-crash lane assignment exactly.
-  for (topo::NodeId id : local_) {
-    const dp::PacketCodec& codec = dp_->BeginNode(id);
-    dp_->AddNode(id, fault::DeserializePredicates(
-                         *codec.manager(), checkpoint.predicate_state.at(id)));
-  }
   fib_bytes_ = checkpoint.fib_bytes;
   tracker_.Charge(fib_bytes_);
   predicate_seconds_ += watch.ElapsedSeconds();

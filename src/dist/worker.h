@@ -6,11 +6,8 @@
 // cross-worker traffic flowing through the sidecar fabric as serialized
 // bytes.
 //
-// Data plane: a private lane-parallel forwarding domain (dp/parallel.h).
-// With dp_lanes == 1 it degenerates to the classic single manager +
-// ForwardingEngine; with more lanes the worker's nodes are sub-partitioned
-// across shared-nothing BDD domains drained in hop-level lockstep.
-// Symbolic packets crossing workers are serialized with bdd_io and
+// Data plane: one private BDD domain (manager + ForwardingEngine) per
+// worker. Symbolic packets crossing workers are serialized with bdd_io and
 // re-encoded on arrival (§4.3, option 2: per-worker node tables), batched
 // per destination worker into kPacketBatch frames.
 //
@@ -26,24 +23,11 @@
 #include "dist/shadow.h"
 #include "dist/sidecar.h"
 #include "dp/forwarding.h"
-#include "dp/parallel.h"
 #include "dp/properties.h"
 #include "fault/checkpoint.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace s2::dist {
-
-// A final packet in transit back to the controller (BDD serialized).
-struct SerializedFinal {
-  topo::NodeId src = topo::kInvalidNode;
-  topo::NodeId node = topo::kInvalidNode;
-  dp::FinalState state = dp::FinalState::kArrive;
-  std::vector<topo::NodeId> path;  // path-recording queries only
-  std::vector<uint8_t> set;
-
-  size_t WireBytes() const { return 16 + set.size() + 4 * path.size(); }
-};
 
 class Worker {
  public:
@@ -52,12 +36,6 @@ class Worker {
     size_t max_bdd_nodes = 0;   // 0 = unbounded node table
     dp::HeaderLayout layout;
     int max_hops = 24;
-    // Intra-worker data-plane lanes (dp/parallel.h); 1 = the sequential
-    // engine, bit-identical to the pre-lane behavior.
-    uint32_t dp_lanes = 1;
-    // Pool the lanes run on (shared with the DPO's worker fan-out — the
-    // pool's ParallelFor is re-entrant). Null runs lanes sequentially.
-    util::ThreadPool* pool = nullptr;
   };
 
   Worker(uint32_t index, const config::ParsedNetwork& network,
@@ -130,9 +108,8 @@ class Worker {
   bool AcceptPackets();
   bool ForwardAndShip();
 
-  // Drains final packets, serialized for the controller (lane-major order;
-  // deterministic for a fixed dp_lanes).
-  std::vector<SerializedFinal> TakeFinals();
+  // Final packets of the last query, serialized for the controller.
+  std::vector<dp::SerializedFinal> TakeFinals();
 
   // Canonical predicate bytes of every local node (the FIB fingerprint;
   // also what Dpo::RunQueries rebuilds per-query domains from). With
@@ -198,17 +175,17 @@ class Worker {
   double last_phase_seconds() const { return last_phase_seconds_; }
   // Cumulative predicate-computation time (Fig 10's first phase).
   double predicate_seconds() const { return predicate_seconds_; }
-  size_t forwarding_steps() const { return dp_ ? dp_->steps() : 0; }
-  // Summed BDD op-cache counters across the data-plane lanes.
+  size_t forwarding_steps() const { return dp_ ? dp_->engine.steps() : 0; }
+  // BDD op-cache counters of the data-plane manager.
   bdd::Manager::CacheStats bdd_cache_stats() const {
-    return dp_ ? dp_->cache_stats() : bdd::Manager::CacheStats{};
+    return dp_ ? dp_->manager.cache_stats() : bdd::Manager::CacheStats{};
   }
   const cp::Node& node(topo::NodeId id) const { return *nodes_.at(id); }
 
  private:
   bool ComputeAndShipImpl(bool suppress_remote);
   void DeliverBatch(std::vector<Message> messages);
-  dp::ParallelForwarding::Options DataPlaneOptions();
+  bdd::Manager::Options DomainOptions();
 
   uint32_t index_;
   const config::ParsedNetwork* network_;
@@ -227,7 +204,7 @@ class Worker {
            std::vector<cp::RouteUpdate>>
       local_pending_;
 
-  std::unique_ptr<dp::ParallelForwarding> dp_;
+  std::unique_ptr<dp::Domain> dp_;
   size_t fib_bytes_ = 0;
   std::map<topo::NodeId, size_t> node_fib_bytes_;
   std::map<topo::NodeId,

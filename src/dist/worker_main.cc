@@ -41,7 +41,6 @@ struct ChildState {
   std::optional<cp::ShardPlan> plan;
   std::shared_ptr<cp::RibStore> store;
   std::unique_ptr<SidecarFabric> fabric;
-  std::unique_ptr<util::ThreadPool> pool;
   std::unique_ptr<Worker> worker;
   Worker::Options worker_options;
 };
@@ -85,8 +84,6 @@ void InitState(ChildState& state, const WorkerInitSpec& spec) {
   state.store = std::make_shared<cp::RibStore>();
   state.fabric = std::make_unique<SidecarFabric>(spec.num_workers,
                                                  spec.assignment);
-  state.pool = std::make_unique<util::ThreadPool>(
-      std::max<uint32_t>(1, spec.dp_lanes));
   state.worker_options.memory_budget = spec.memory_budget;
   state.worker_options.max_bdd_nodes = spec.max_bdd_nodes;
   state.worker_options.layout.dst_bits = spec.layout_dst_bits;
@@ -94,8 +91,6 @@ void InitState(ChildState& state, const WorkerInitSpec& spec) {
   state.worker_options.layout.meta_bits = spec.layout_meta_bits;
   state.worker_options.layout.family_bits = spec.layout_family_bits;
   state.worker_options.max_hops = spec.max_hops;
-  state.worker_options.dp_lanes = spec.dp_lanes;
-  state.worker_options.pool = state.pool.get();
   state.worker = std::make_unique<Worker>(spec.index, *state.network,
                                           state.fabric.get(),
                                           state.worker_options);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "bdd/bdd_io.h"
+
 namespace s2::dp {
 
 const char* FinalStateName(FinalState state) {
@@ -17,6 +19,26 @@ const char* FinalStateName(FinalState state) {
       return "loop";
   }
   return "?";
+}
+
+WirePacket ToWire(const InFlightPacket& packet) {
+  return WirePacket{packet.at,   packet.from, packet.src,
+                    packet.hops, packet.path, bdd::Serialize(packet.set)};
+}
+
+SerializedFinal ToWire(const FinalPacket& final) {
+  return SerializedFinal{final.src, final.node, final.state, final.path,
+                         bdd::Serialize(final.set)};
+}
+
+InFlightPacket FromWire(const WirePacket& wire, bdd::Manager& manager) {
+  return InFlightPacket{wire.at, wire.from, wire.src, wire.hops,
+                        bdd::DeserializeInto(manager, wire.set), wire.path};
+}
+
+FinalPacket FromWire(const SerializedFinal& final, bdd::Manager& manager) {
+  return FinalPacket{final.src, final.node, final.state,
+                     bdd::DeserializeInto(manager, final.set), final.path};
 }
 
 void ForwardingEngine::AddNode(topo::NodeId id, NodePredicates preds) {

@@ -56,6 +56,35 @@ struct FinalPacket {
   std::vector<topo::NodeId> path;  // path-recording mode only
 };
 
+// Manager-independent wire forms: the units that cross domain boundaries
+// (worker to worker, worker to controller) as canonical bdd_io bytes.
+struct WirePacket {
+  topo::NodeId at = topo::kInvalidNode;
+  topo::NodeId from = topo::kInvalidNode;
+  topo::NodeId src = topo::kInvalidNode;
+  int hops = 0;
+  std::vector<topo::NodeId> path;  // path-recording queries only
+  std::vector<uint8_t> set;
+
+  size_t WireBytes() const { return 16 + set.size() + 4 * path.size(); }
+};
+
+struct SerializedFinal {
+  topo::NodeId src = topo::kInvalidNode;
+  topo::NodeId node = topo::kInvalidNode;
+  FinalState state = FinalState::kArrive;
+  std::vector<topo::NodeId> path;  // path-recording queries only
+  std::vector<uint8_t> set;
+
+  size_t WireBytes() const { return 16 + set.size() + 4 * path.size(); }
+};
+
+WirePacket ToWire(const InFlightPacket& packet);
+SerializedFinal ToWire(const FinalPacket& final);
+// Re-encode the set into `manager` (bdd_io canonical decode).
+InFlightPacket FromWire(const WirePacket& wire, bdd::Manager& manager);
+FinalPacket FromWire(const SerializedFinal& final, bdd::Manager& manager);
+
 class ForwardingEngine {
  public:
   struct Options {
@@ -93,19 +122,6 @@ class ForwardingEngine {
   using RemoteEmit = std::function<void(const InFlightPacket&)>;
   void Run(const RemoteEmit& emit);
 
-  // Level-stepped interface used by the parallel data plane: the lowest
-  // hop level with pending packets (kIdle if the queue is empty), and a
-  // drain of exactly that level. Forwarding only moves packets to higher
-  // levels, so draining level h enqueues only at h+1 and the exact-merge
-  // invariant (all copies at a level merge before the level is processed)
-  // holds as long as callers drain levels in ascending order — which is
-  // what lets multiple lanes run DrainLevel in lockstep and exchange
-  // cross-lane packets between levels. Run() is the sequential special
-  // case.
-  static constexpr int kIdle = INT_MAX;
-  int NextLevel() const;
-  void DrainLevel(int level, const RemoteEmit& emit);
-
   const std::vector<FinalPacket>& finals() const { return finals_; }
   const PacketCodec& codec() const { return codec_; }
 
@@ -132,6 +148,14 @@ class ForwardingEngine {
   // ACL on that port (the only way `from` can influence processing).
   using QueueKey = std::tuple<topo::NodeId, topo::NodeId, topo::NodeId>;
 
+  // The lowest hop level with pending packets (kIdle if none), and a drain
+  // of exactly that level. Forwarding only moves packets to higher levels,
+  // so draining levels in ascending order merges every copy at a level
+  // before the level is processed.
+  static constexpr int kIdle = INT_MAX;
+  int NextLevel() const;
+  void DrainLevel(int level, const RemoteEmit& emit);
+
   void Enqueue(const InFlightPacket& packet);
   void Process(InFlightPacket packet, const RemoteEmit& emit);
   void Final(const InFlightPacket& packet, FinalState state, bdd::Bdd set);
@@ -147,6 +171,20 @@ class ForwardingEngine {
   std::vector<FinalPacket> finals_;
   size_t steps_ = 0;
   bool record_paths_ = false;
+};
+
+// One shared-nothing BDD domain: a private manager and the engine over it
+// (one node table per worker, §4.3 option 2). Members are declared
+// manager-first, so the engine's handles die before their manager.
+struct Domain {
+  Domain(const HeaderLayout& layout, int max_hops,
+         const bdd::Manager::Options& options)
+      : manager(layout.total_bits(), options),
+        engine(PacketCodec(&manager, layout),
+               ForwardingEngine::Options{max_hops}) {}
+
+  bdd::Manager manager;
+  ForwardingEngine engine;
 };
 
 }  // namespace s2::dp

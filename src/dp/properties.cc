@@ -19,6 +19,22 @@ bdd::Bdd DropMeta(const bdd::Bdd& set, const PacketCodec& codec) {
 
 }  // namespace
 
+void InstallQuery(ForwardingEngine& engine, const Query& query) {
+  engine.ResetQueryState();
+  engine.set_record_paths(query.record_paths);
+  for (size_t i = 0; i < query.transits.size(); ++i) {
+    if (engine.Owns(query.transits[i])) {
+      engine.SetWaypointBit(query.transits[i], static_cast<uint32_t>(i));
+    }
+  }
+  bdd::Bdd header;
+  for (topo::NodeId src : query.sources) {
+    if (!engine.Owns(src)) continue;
+    if (!header.valid()) header = query.header_space.ToBdd(engine.codec());
+    engine.Inject(src, header);
+  }
+}
+
 bool IsForwardingValley(const std::vector<topo::NodeId>& path,
                         const topo::Graph& graph) {
   bool descended = false;

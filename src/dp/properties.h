@@ -24,6 +24,11 @@ struct Query {
   bool record_paths = false;
 };
 
+// Installs `query` on one domain, dropping any previous query's state:
+// path recording, the waypoint write rule of every owned transit (transit
+// i sets metadata bit i), and an injection of H at every owned source.
+void InstallQuery(ForwardingEngine& engine, const Query& query);
+
 struct ReachabilityPair {
   topo::NodeId src;
   topo::NodeId dst;

@@ -4,8 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "bdd/bdd_io.h"
-#include "fault/checkpoint.h"
 #include "obs/trace.h"
 
 namespace s2::svc {
@@ -165,8 +163,8 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
   // scoping and no forwarding.
   bdd::Bdd header = query.header_space.ToBdd(*lane.gather_codec);
   CacheEntry* hit = FindCached(lane, snapshot.epoch, header, query);
-  std::vector<dist::SerializedFinal> computed;
-  const std::vector<dist::SerializedFinal>* finals_bytes = nullptr;
+  std::vector<dp::SerializedFinal> computed;
+  const std::vector<dp::SerializedFinal>* finals_bytes = nullptr;
   if (hit != nullptr) {
     served.cache_hit = true;
     hit->stamp = ++lane.stamp;
@@ -216,15 +214,9 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
   // queries shareable upstream.
   std::vector<dp::FinalPacket> finals;
   finals.reserve(finals_bytes->size());
-  for (const dist::SerializedFinal& final : *finals_bytes) {
+  for (const dp::SerializedFinal& final : *finals_bytes) {
     served.gather_bytes += final.WireBytes();
-    dp::FinalPacket packet;
-    packet.src = final.src;
-    packet.node = final.node;
-    packet.state = final.state;
-    packet.path = final.path;
-    packet.set = bdd::DeserializeInto(*lane.gather_manager, final.set);
-    finals.push_back(std::move(packet));
+    finals.push_back(dp::FromWire(final, *lane.gather_manager));
   }
   served.result =
       dp::EvaluateQuery(query, *lane.gather_codec, finals, *snapshot.network);
@@ -245,11 +237,10 @@ QueryService::Served QueryService::ServeLocked(Lane& lane,
 }
 
 void QueryService::BindEpoch(Lane& lane, const Snapshot& snapshot) {
-  // Order matters: cache entries hold handles into the gather manager and
-  // engines into their managers — drop users before owners.
+  // Order matters: cache entries hold handles into the gather manager —
+  // drop users before owners.
   lane.cache.clear();
-  lane.engines.clear();
-  lane.managers.clear();
+  lane.domains.clear();
   lane.gather_codec.reset();
   lane.gather_manager =
       std::make_unique<bdd::Manager>(snapshot.layout.total_bits());
@@ -258,54 +249,28 @@ void QueryService::BindEpoch(Lane& lane, const Snapshot& snapshot) {
   // on a query-count cadence instead.
   lane.gather_manager->PauseGc();
   lane.gather_codec.emplace(lane.gather_manager.get(), snapshot.layout);
-  lane.managers.resize(snapshot.num_workers);
-  lane.engines.resize(snapshot.num_workers);
+  lane.domains.resize(snapshot.num_workers);
   lane.epoch = snapshot.epoch;
   lane.queries_since_gc = 0;
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.epoch_rebuilds;
 }
 
-void QueryService::EnsureDomain(Lane& lane, const Snapshot& snapshot,
-                                uint32_t w) {
-  if (lane.engines[w] != nullptr) return;
+dp::Domain* QueryService::EnsureDomain(Lane& lane, const Snapshot& snapshot,
+                                       uint32_t w) {
+  if (lane.domains[w] != nullptr) return lane.domains[w].get();
   obs::Span span("svc", "svc.domain_build");
   span.Arg("worker", static_cast<int64_t>(w));
   bdd::Manager::Options manager_options;
   manager_options.max_nodes = snapshot.max_bdd_nodes;
-  auto manager = std::make_unique<bdd::Manager>(snapshot.layout.total_bits(),
-                                                manager_options);
-  manager->PauseGc();
-  dp::PacketCodec codec(manager.get(), snapshot.layout);
-  dp::ForwardingEngine::Options engine_options;
-  engine_options.max_hops = snapshot.max_hops;
-  auto engine =
-      std::make_unique<dp::ForwardingEngine>(codec, engine_options);
-  for (const auto& [id, bytes] : snapshot.predicates[w]) {
-    // AddNode pins the predicate roots: this epoch's snapshot surface is
-    // immutable for the domain's lifetime (bdd.h, PinRoot).
-    engine->AddNode(id, fault::DeserializePredicates(*manager, bytes));
-  }
-  lane.managers[w] = std::move(manager);
-  lane.engines[w] = std::move(engine);
+  // AddNode pins the predicate roots: this epoch's snapshot surface is
+  // immutable for the domain's lifetime (bdd.h, PinRoot).
+  lane.domains[w] =
+      dist::BuildDomain(snapshot.predicates[w], snapshot.layout,
+                        snapshot.max_hops, manager_options, /*hold_gc=*/true);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.domains_built;
-}
-
-void QueryService::PrepareEngine(Lane& lane, const dp::Query& query,
-                                 uint32_t w) {
-  dp::ForwardingEngine& engine = *lane.engines[w];
-  engine.ResetQueryState();
-  engine.set_record_paths(query.record_paths);
-  for (size_t i = 0; i < query.transits.size(); ++i) {
-    if (engine.Owns(query.transits[i])) {
-      engine.SetWaypointBit(query.transits[i], static_cast<uint32_t>(i));
-    }
-  }
-  bdd::Bdd header = query.header_space.ToBdd(engine.codec());
-  for (topo::NodeId src : query.sources) {
-    if (engine.Owns(src)) engine.Inject(src, header);
-  }
+  return lane.domains[w].get();
 }
 
 std::vector<uint32_t> QueryService::ScopeWorkers(
@@ -360,80 +325,31 @@ QueryService::CacheEntry* QueryService::FindCached(Lane& lane,
   return nullptr;
 }
 
-std::vector<dist::SerializedFinal> QueryService::Execute(
+std::vector<dp::SerializedFinal> QueryService::Execute(
     Lane& lane, const Snapshot& snapshot, const dp::Query& query,
     std::vector<uint32_t>& scope, Served& served) {
   obs::Span span("svc", "svc.execute");
-  for (uint32_t w : scope) EnsureDomain(lane, snapshot, w);
-  for (uint32_t w : scope) PrepareEngine(lane, query, w);
+  std::vector<dp::Domain*> domains(snapshot.num_workers, nullptr);
+  for (uint32_t w : scope) domains[w] = EnsureDomain(lane, snapshot, w);
+  for (uint32_t w : scope) dp::InstallQuery(domains[w]->engine, query);
 
-  // The Dpo::RunQueries round loop over the scoped domains: run every
-  // engine to quiescence in ascending worker order, ferry the serialized
-  // crossing packets, repeat until silent. Identical structure keeps the
-  // finals — and therefore the verdicts — byte-identical to batch mode.
-  std::vector<dp::WirePacket> crossing;
-  for (;;) {
-    size_t steps_before = 0, steps_after = 0;
-    for (size_t i = 0; i < scope.size(); ++i) {
-      dp::ForwardingEngine& engine = *lane.engines[scope[i]];
-      steps_before += engine.steps();
-      engine.Run([&](const dp::InFlightPacket& packet) {
-        dp::WirePacket wire;
-        wire.at = packet.at;
-        wire.from = packet.from;
-        wire.src = packet.src;
-        wire.hops = packet.hops;
-        wire.path = packet.path;
-        wire.set = bdd::Serialize(packet.set);
-        crossing.push_back(std::move(wire));
-      });
-      steps_after += engine.steps();
-    }
-    ++served.rounds;
-    if (crossing.empty()) {
-      if (steps_after == steps_before) break;
-      continue;
-    }
-    for (const dp::WirePacket& wire : crossing) {
-      uint32_t dest = snapshot.worker_of[wire.at];
-      if (!std::binary_search(scope.begin(), scope.end(), dest)) {
+  // The batch executor over the scoped domains; unscoped workers
+  // contribute no finals by construction, so the worker-major finals — and
+  // therefore the verdicts — stay byte-identical to batch mode.
+  dist::CrossingRun run = dist::ForwardAcrossDomains(
+      domains, snapshot.worker_of, [&](uint32_t dest) {
         // Admission under-scoped (incomplete forward-edge index): build
         // the domain lazily and keep going — scoping is a perf hint, not
         // a correctness gate.
-        EnsureDomain(lane, snapshot, dest);
-        PrepareEngine(lane, query, dest);
+        domains[dest] = EnsureDomain(lane, snapshot, dest);
+        dp::InstallQuery(domains[dest]->engine, query);
         scope.insert(std::upper_bound(scope.begin(), scope.end(), dest),
                      dest);
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.scope_fallbacks;
-      }
-      dp::InFlightPacket packet;
-      packet.at = wire.at;
-      packet.from = wire.from;
-      packet.src = wire.src;
-      packet.hops = wire.hops;
-      packet.path = wire.path;
-      packet.set = bdd::DeserializeInto(*lane.managers[dest], wire.set);
-      lane.engines[dest]->Accept(std::move(packet));
-    }
-    crossing.clear();
-  }
-
-  // Finals in ascending worker order — the worker-major order batch mode
-  // gathers in (unscoped workers contribute nothing by construction).
-  std::vector<dist::SerializedFinal> out;
-  for (uint32_t w : scope) {
-    for (const dp::FinalPacket& final : lane.engines[w]->finals()) {
-      dist::SerializedFinal serialized;
-      serialized.src = final.src;
-      serialized.node = final.node;
-      serialized.state = final.state;
-      serialized.path = final.path;
-      serialized.set = bdd::Serialize(final.set);
-      out.push_back(std::move(serialized));
-    }
-  }
-  return out;
+      });
+  served.rounds = run.rounds;
+  return std::move(run.finals);
 }
 
 void QueryService::MaybeCollect(Lane& lane) {
@@ -443,8 +359,8 @@ void QueryService::MaybeCollect(Lane& lane) {
   // Explicit sweeps on the held-GC serving domains: dead intermediates
   // accumulated across the interval are freed (and their op-cache entries
   // purged); pinned predicate roots and cached header handles survive.
-  for (const auto& manager : lane.managers) {
-    if (manager) manager->GarbageCollect();
+  for (const auto& domain : lane.domains) {
+    if (domain) domain->manager.GarbageCollect();
   }
   lane.gather_manager->GarbageCollect();
 }
@@ -467,7 +383,9 @@ bdd::Manager::CacheStats QueryService::OpCacheStats() const {
       total.gc_kept += stats.gc_kept;
       total.gc_dropped += stats.gc_dropped;
     };
-    for (const auto& manager : lane->managers) add(manager.get());
+    for (const auto& domain : lane->domains) {
+      if (domain) add(&domain->manager);
+    }
     add(lane->gather_manager.get());
   }
   return total;

@@ -17,9 +17,9 @@
 //  soundness risk.
 //
 //  Serving lanes — each lane owns persistent per-epoch, per-worker
-//  (Manager, ForwardingEngine) domains rebuilt from the snapshot's
-//  canonical predicate bytes, the same construction Dpo::RunQueries uses
-//  per query. Unlike RunQueries, the domains live across queries with GC
+//  domains rebuilt from the snapshot's canonical predicate bytes and run
+//  by the same executor Dpo::RunQueries uses per query (dist/domain.h).
+//  Unlike RunQueries, the domains live across queries with GC
 //  held (bdd::Manager::PauseGc), so the hash-consed node ids of the
 //  predicate roots — and the op/ITE cache entries over them — are stable
 //  from query to query: a repeated query replays almost entirely out of
@@ -41,6 +41,7 @@
 
 #include <optional>
 
+#include "dist/domain.h"
 #include "dist/worker.h"
 #include "svc/snapshot.h"
 
@@ -134,7 +135,7 @@ class QueryService {
     std::vector<topo::NodeId> sources;
     std::vector<topo::NodeId> transits;
     bool record_paths = false;
-    std::vector<dist::SerializedFinal> finals;
+    std::vector<dp::SerializedFinal> finals;
     uint64_t stamp = 0;  // LRU clock
   };
 
@@ -142,12 +143,11 @@ class QueryService {
     std::mutex mutex;
     uint64_t epoch = 0;  // 0 = not bound yet
     // Destruction order matters: cache entries hold handles into
-    // gather_manager and engines hold handles into managers, so members
-    // are declared owner-first (reverse destruction runs users first).
+    // gather_manager, so members are declared owner-first (reverse
+    // destruction runs users first).
     std::unique_ptr<bdd::Manager> gather_manager;
     std::optional<dp::PacketCodec> gather_codec;
-    std::vector<std::unique_ptr<bdd::Manager>> managers;    // per worker
-    std::vector<std::unique_ptr<dp::ForwardingEngine>> engines;
+    std::vector<std::unique_ptr<dp::Domain>> domains;  // per worker
     std::vector<CacheEntry> cache;
     uint64_t stamp = 0;
     size_t queries_since_gc = 0;
@@ -157,17 +157,16 @@ class QueryService {
   Served ServeLocked(Lane& lane, const SnapshotRef& ref,
                      const dp::Query& query);
   void BindEpoch(Lane& lane, const Snapshot& snapshot);
-  void EnsureDomain(Lane& lane, const Snapshot& snapshot, uint32_t w);
-  void PrepareEngine(Lane& lane, const dp::Query& query, uint32_t w);
+  dp::Domain* EnsureDomain(Lane& lane, const Snapshot& snapshot, uint32_t w);
   std::vector<uint32_t> ScopeWorkers(const Snapshot& snapshot,
                                      const dp::Query& query) const;
   CacheEntry* FindCached(Lane& lane, uint64_t epoch, const bdd::Bdd& header,
                          const dp::Query& query);
-  std::vector<dist::SerializedFinal> Execute(Lane& lane,
-                                             const Snapshot& snapshot,
-                                             const dp::Query& query,
-                                             std::vector<uint32_t>& scope,
-                                             Served& served);
+  std::vector<dp::SerializedFinal> Execute(Lane& lane,
+                                           const Snapshot& snapshot,
+                                           const dp::Query& query,
+                                           std::vector<uint32_t>& scope,
+                                           Served& served);
   void MaybeCollect(Lane& lane);
 
   SnapshotRegistry* registry_;

@@ -37,9 +37,9 @@ class ThreadPool {
   // claimed from a shared atomic cursor), so nesting a ParallelFor inside a
   // ParallelFor task on the same pool cannot deadlock — the inner call makes
   // progress on the caller's own thread even when every pool thread is
-  // blocked in an outer iteration. dist/ relies on this: DPO fans out over
-  // workers on the pool, and each worker's data plane fans out again over
-  // its lanes/queries on the same pool.
+  // blocked in an outer iteration. Nothing in dist/ nests today (the CPO
+  // and DPO fan out one level, over workers or queries); the guarantee
+  // keeps a task that does fan out again deadlock-free.
   void ParallelFor(size_t count, const std::function<void(size_t)>& task);
 
   size_t size() const { return threads_.size(); }

@@ -1,20 +1,15 @@
 // Determinism of the parallel engines: the same query run twice — through
-// the lane-parallel ParallelForwarding engine, the dp_lanes>1 distributed
-// verifier, the query-parallel RunQueries path, and a chaos-schedule run —
-// must produce byte-identical serialized finals, identical FIB bytes, and
-// identical verdicts. The thread pool only changes the schedule, never the
+// the distributed verifier, the query-parallel RunQueries path, and a
+// chaos-schedule run — must produce identical FIB bytes, verdicts, and
+// comm accounting. The thread pool only changes the schedule, never the
 // outcome; this suite (run under TSan via the chaos label) is the proof.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
 
-#include "bdd/bdd_io.h"
 #include "core/incremental.h"
-#include "core/mono.h"
 #include "core/s2.h"
-#include "dp/fib.h"
-#include "dp/parallel.h"
 #include "obs/trace.h"
 #include "test_networks.h"
 #include "topo/fattree.h"
@@ -40,70 +35,6 @@ dp::Query AllPairQuery(const config::ParsedNetwork& net) {
   return query;
 }
 
-// Serializes every final of every lane, in lane-major order, into one
-// byte string: src, node, state, path, then the canonical bdd_io bytes of
-// the packet set. Equal strings mean byte-identical finals.
-std::vector<uint8_t> FinalsBytes(const dp::ParallelForwarding& dp) {
-  std::vector<uint8_t> bytes;
-  auto put32 = [&](uint32_t v) {
-    for (int s = 0; s < 32; s += 8) bytes.push_back((v >> s) & 0xff);
-  };
-  for (size_t lane = 0; lane < dp.lanes(); ++lane) {
-    for (const dp::FinalPacket& final : dp.lane_engine(lane).finals()) {
-      put32(final.src);
-      put32(final.node);
-      bytes.push_back(static_cast<uint8_t>(final.state));
-      put32(static_cast<uint32_t>(final.path.size()));
-      for (topo::NodeId hop : final.path) put32(hop);
-      std::vector<uint8_t> set = bdd::Serialize(final.set);
-      put32(static_cast<uint32_t>(set.size()));
-      bytes.insert(bytes.end(), set.begin(), set.end());
-    }
-  }
-  return bytes;
-}
-
-// One full ParallelForwarding run over converged FIBs: register every
-// node (round-robin lanes), inject at every edge switch, drain with the
-// given pool, return the serialized finals.
-std::vector<uint8_t> RunParallelEngine(const config::ParsedNetwork& net,
-                                       core::MonoVerifier& mono,
-                                       uint32_t lanes,
-                                       util::ThreadPool* pool) {
-  util::MemoryTracker tracker("determinism", 0);
-  dp::ParallelForwarding::Options options;
-  options.lanes = lanes;
-  dp::ParallelForwarding dp(options);
-  for (const auto& node : mono.last_engine()->nodes()) {
-    const dp::PacketCodec& codec = dp.BeginNode(node->id());
-    dp::Fib fib = dp::Fib::Build(net, node->id(), node->bgp_routes(),
-                                 node->ospf_routes(), &tracker);
-    dp.AddNode(node->id(),
-               dp::BuildPredicates(net, node->id(), fib, codec));
-  }
-  dp::Query query = AllPairQuery(net);
-  for (topo::NodeId src : query.sources) {
-    dp.Inject(src, query.header_space);
-  }
-  // Every node is registered, so nothing is off-worker.
-  dp.Run(pool, [](const dp::WirePacket&) { FAIL() << "unexpected remote"; });
-  return FinalsBytes(dp);
-}
-
-TEST(DeterminismTest, ParallelEngineFinalsAreByteIdentical) {
-  config::ParsedNetwork net = FatTree4();
-  core::MonoVerifier mono{core::MonoOptions{}};
-  ASSERT_TRUE(mono.Verify(net, {}).ok());
-  util::ThreadPool pool(4);
-  std::vector<uint8_t> first = RunParallelEngine(net, mono, 3, &pool);
-  std::vector<uint8_t> second = RunParallelEngine(net, mono, 3, &pool);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-  // The pool only changes the schedule: a poolless (sequential) drain of
-  // the same 3-lane layout serializes to the same bytes.
-  EXPECT_EQ(first, RunParallelEngine(net, mono, 3, nullptr));
-}
-
 // Canonical per-node predicate bytes across all workers (the FIB hash).
 std::map<topo::NodeId, std::vector<uint8_t>> FibBytes(
     Controller* controller) {
@@ -127,7 +58,6 @@ RunOutcome RunDistributed(const config::ParsedNetwork& net,
                           std::optional<fault::FaultPlan> plan) {
   ControllerOptions options;
   options.num_workers = 4;
-  options.dp_lanes = 2;
   options.query_lanes = query_lanes;
   options.fault_plan = std::move(plan);
   core::S2Verifier verifier(options);
@@ -201,9 +131,9 @@ TEST(DeterminismTest, TracingDoesNotPerturbResults) {
 }
 
 // Chaos-labeled case: a fault schedule (drops, duplication, reorder, a
-// scheduled crash) on top of the dp_lanes>1 engine still replays to
-// byte-identical FIBs and verdicts, run to run.
-TEST(DeterminismTest, ChaosScheduleWithParallelLanesIsDeterministic) {
+// scheduled crash) still replays to byte-identical FIBs and verdicts, run
+// to run.
+TEST(DeterminismTest, ChaosScheduleIsDeterministic) {
   config::ParsedNetwork net = FatTree4();
   fault::FaultPlan plan;
   plan.seed = 4242;
@@ -266,7 +196,6 @@ TEST(DeterminismTest, IncrementalRunsAreByteIdentical) {
   std::vector<dp::Query> queries = {AllPairQuery(net)};
   ControllerOptions options;
   options.num_workers = 4;
-  options.dp_lanes = 2;
   options.num_shards = 4;  // spills on: the incremental fast path
   core::S2Verifier verifier(options);
   ASSERT_TRUE(verifier.Verify(net, queries).ok());
@@ -310,7 +239,6 @@ TEST(DeterminismTest, IncrementalUnderChaosScheduleIsDeterministic) {
   plan.crashes.push_back({fault::CrashPhase::kControlPlaneRound, 3, 1});
   ControllerOptions options;
   options.num_workers = 4;
-  options.dp_lanes = 2;
   options.num_shards = 4;
   options.fault_plan = plan;
   core::S2Verifier verifier(options);

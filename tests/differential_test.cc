@@ -1,15 +1,14 @@
 // Randomized differential oracle: seeded random topologies pushed through
 // every verifier configuration — MonoVerifier (the monolithic baseline),
-// S2 at 1/2/4 workers with both sequential (dp_lanes=1) and lane-parallel
-// (dp_lanes>1) data planes, the query-parallel RunQueries path, and the
-// Bonsai compression baseline — asserting that all of them converge to
-// identical best-route RIBs, identical canonical FIB bytes (the
+// S2 at 1/2/4 workers, the query-parallel RunQueries path, and the Bonsai
+// compression baseline — asserting that all of them converge to identical
+// best-route RIBs, identical canonical FIB bytes (the
 // fault::SerializePredicates fingerprint), and identical query verdicts.
 //
-// This is the pin that holds the intra-worker parallel forwarding and the
-// BDD op-cache overhaul in place: any nondeterminism in lane merge order,
-// any cache entry surviving a GC with a stale result, or any divergence in
-// the per-query rebuilt domains shows up here as a byte-level mismatch.
+// This is the pin that holds the distributed forwarding and the BDD
+// op-cache overhaul in place: any cache entry surviving a GC with a stale
+// result, or any divergence in the per-query rebuilt domains, shows up here
+// as a byte-level mismatch.
 #include <gtest/gtest.h>
 
 #include "core/bonsai.h"
@@ -126,7 +125,7 @@ void ExpectSameVerdict(const dp::QueryResult& got,
       << label;
 }
 
-// S2 at `workers` workers / `dp_lanes` lanes must reproduce the oracle's
+// S2 at `workers` workers must reproduce the oracle's
 // verdicts, RIBs, and FIB bytes exactly. Final *counts* (loop/blackhole
 // finals) are compared exactly only at workers == 1: a set crossing a
 // worker boundary is recorded as one final per worker-side fragment, so
@@ -134,11 +133,9 @@ void ExpectSameVerdict(const dp::QueryResult& got,
 // boolean verdicts and the pair counts must still agree bit for bit.
 void CheckS2AgainstOracle(const config::ParsedNetwork& net,
                           const dp::Query& query, const Oracle& oracle,
-                          uint32_t workers, uint32_t dp_lanes,
-                          const std::string& label) {
+                          uint32_t workers, const std::string& label) {
   ControllerOptions options;
   options.num_workers = workers;
-  options.dp_lanes = dp_lanes;
   core::S2Verifier verifier(options);
   core::VerifyResult result = verifier.Verify(net, {query});
   ASSERT_TRUE(result.ok()) << label << ": " << result.failure_detail;
@@ -179,12 +176,9 @@ void RunDifferential(const std::vector<Instance>& instances) {
     Oracle oracle = RunOracle(net, query);
     ASSERT_TRUE(oracle.result.ok())
         << instance.label << ": " << oracle.result.failure_detail;
-    // Worker counts 1/2/4; lane count varies with the worker count so both
-    // the sequential fast path (lanes=1) and the level-lockstep parallel
-    // path (lanes=2,3) are differentially pinned on every instance.
-    CheckS2AgainstOracle(net, query, oracle, 1, 1, instance.label + "/1w1l");
-    CheckS2AgainstOracle(net, query, oracle, 2, 2, instance.label + "/2w2l");
-    CheckS2AgainstOracle(net, query, oracle, 4, 3, instance.label + "/4w3l");
+    CheckS2AgainstOracle(net, query, oracle, 1, instance.label + "/1w");
+    CheckS2AgainstOracle(net, query, oracle, 2, instance.label + "/2w");
+    CheckS2AgainstOracle(net, query, oracle, 4, instance.label + "/4w");
   }
 }
 
@@ -217,7 +211,6 @@ TEST(DifferentialOracleTest, ParallelQueryPathMatchesSequential) {
 
     ControllerOptions parallel = sequential;
     parallel.query_lanes = 2;
-    parallel.dp_lanes = 2;
     core::S2Verifier par_verifier(parallel);
     core::VerifyResult par = par_verifier.Verify(net, queries);
     ASSERT_TRUE(par.ok()) << instance.label << ": " << par.failure_detail;
@@ -451,9 +444,9 @@ TEST(DifferentialOracleTest, DualStackDcnAgreesAcrossEngines) {
     ASSERT_TRUE(oracle.result.ok())
         << label << ": " << oracle.result.failure_detail;
     EXPECT_GT(oracle.result.queries[0].reachable_pairs, 0u) << label;
-    CheckS2AgainstOracle(net, queries[q], oracle, 1, 1, label + "/1w1l");
-    CheckS2AgainstOracle(net, queries[q], oracle, 2, 2, label + "/2w2l");
-    CheckS2AgainstOracle(net, queries[q], oracle, 4, 3, label + "/4w3l");
+    CheckS2AgainstOracle(net, queries[q], oracle, 1, label + "/1w");
+    CheckS2AgainstOracle(net, queries[q], oracle, 2, label + "/2w");
+    CheckS2AgainstOracle(net, queries[q], oracle, 4, label + "/4w");
     if (q + 1 == queries.size()) {
       // The v6 mirror actually converged: some best-route RIB must hold a
       // v6 prefix (the TOR business /48s and the border ::/0 default).
@@ -547,7 +540,7 @@ TEST(DifferentialOracleTest, DualStackFatTreeBonsaiReachability) {
   ASSERT_TRUE(oracle.result.ok()) << oracle.result.failure_detail;
   EXPECT_EQ(oracle.result.queries[0].unreachable_pairs, 0u);
   EXPECT_GT(oracle.result.queries[0].reachable_pairs, 0u);
-  CheckS2AgainstOracle(net, v6, oracle, 2, 2, "dualstack-fattree/2w2l");
+  CheckS2AgainstOracle(net, v6, oracle, 2, "dualstack-fattree/2w");
 
   core::BonsaiVerifier bonsai{core::BonsaiOptions{}};
   core::VerifyResult result = bonsai.Verify(raw);

@@ -519,42 +519,8 @@ TEST(DistResourceTest, PerWorkerBudgetOomIsAVerdict) {
   EXPECT_NE(result.failure_detail.find("worker-"), std::string::npos);
 }
 
-// The parallel data-plane paths surface the same resource verdicts as the
-// sequential engine: per-lane node tables still honor max_bdd_nodes, lane
-// and per-query-domain charges still land on the worker tracker.
-
-TEST(DistResourceTest, ParallelLanesBddOverflowIsAVerdict) {
-  topo::FatTreeParams params;
-  params.k = 4;
-  auto net = testing::Parse(topo::MakeFatTree(params));
-  ControllerOptions options;
-  options.num_workers = 2;
-  options.dp_lanes = 3;
-  options.max_bdd_nodes = 64;  // tiny per-lane node table
-  core::S2Verifier verifier(options);
-  dp::Query query;
-  query.header_space.dst = util::MustParsePrefix("10.0.0.0/8");
-  query.sources = {0};
-  query.destinations = {net.graph.FindByName("edge-1-0")};
-  core::VerifyResult result = verifier.Verify(net, {query});
-  EXPECT_EQ(result.status, core::RunStatus::kOutOfMemory);
-  EXPECT_NE(result.failure_detail.find("bdd-node-table"),
-            std::string::npos);
-}
-
-TEST(DistResourceTest, ParallelLanesBudgetOomIsAVerdict) {
-  topo::FatTreeParams params;
-  params.k = 4;
-  auto net = testing::Parse(topo::MakeFatTree(params));
-  ControllerOptions options;
-  options.num_workers = 2;
-  options.dp_lanes = 2;
-  options.worker_memory_budget = 20'000;  // far too small
-  core::S2Verifier verifier(options);
-  core::VerifyResult result = verifier.Verify(net, {});
-  EXPECT_EQ(result.status, core::RunStatus::kOutOfMemory);
-  EXPECT_NE(result.failure_detail.find("worker-"), std::string::npos);
-}
+// The query-parallel path surfaces the same resource verdicts as the
+// sequential engine: per-query domain charges land on the worker tracker.
 
 TEST(DistResourceTest, QueryParallelDomainsRespectWorkerBudget) {
   topo::FatTreeParams params;
@@ -590,7 +556,7 @@ TEST(DistResourceTest, QueryParallelDomainsRespectWorkerBudget) {
   EXPECT_THROW(controller.RunQueries(queries), util::SimulatedOom);
 }
 
-TEST(DistResourceTest, NonConvergenceIsTimeoutWithParallelLanes) {
+TEST(DistResourceTest, NonConvergenceIsTimeout) {
   topo::Network net = testing::MakeChain(2);
   auto p = util::MustParsePrefix("203.0.113.0/24");
   net.intents[0].cond_advs.push_back(topo::CondAdvIntent{p, p, false});
@@ -598,7 +564,6 @@ TEST(DistResourceTest, NonConvergenceIsTimeoutWithParallelLanes) {
   ControllerOptions options;
   options.num_workers = 2;
   options.max_rounds = 20;
-  options.dp_lanes = 2;
   core::S2Verifier verifier(options);
   core::VerifyResult result = verifier.Verify(parsed, {});
   EXPECT_EQ(result.status, core::RunStatus::kTimeout);

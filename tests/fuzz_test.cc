@@ -18,7 +18,6 @@
 #include "cp/route.h"
 #include "dist/message.h"
 #include "dist/process.h"
-#include "dp/parallel.h"
 #include "fault/checkpoint.h"
 #include "test_networks.h"
 #include "util/rng.h"
@@ -767,7 +766,6 @@ dist::WorkerInitSpec SampleInitSpec() {
   spec.layout_meta_bits = 4;
   spec.layout_family_bits = 1;
   spec.max_hops = 24;
-  spec.dp_lanes = 2;
   spec.num_shards = 4;
   spec.seed = 99;
   spec.heartbeat_interval_ms = 50;

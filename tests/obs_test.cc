@@ -324,7 +324,6 @@ dist::ControllerOptions Fig6Options() {
   dist::ControllerOptions options;
   options.num_workers = 2;
   options.num_shards = 4;
-  options.dp_lanes = 2;
   return options;
 }
 
@@ -379,12 +378,13 @@ TEST(ObsAcceptanceTest, Fig6TraceIsValidChromeJsonWithAllPhaseSpans) {
   }
 
   // Every Controller phase, the parse phase (text overload), per-shard CP
-  // passes, per-round CP barriers, per-lane DP rounds, and sidecar drains.
+  // passes, per-round CP barriers, per-worker DP forwarding, and sidecar
+  // drains.
   for (const char* required :
        {"controller.parse", "controller.partition",
         "controller.control_plane", "controller.dp_build",
         "controller.query", "cp.shard", "cp.round", "dp.worker_build",
-        "dp.round", "dp.lane.round", "sidecar.drain"}) {
+        "dp.round", "dp.worker_forward", "sidecar.drain"}) {
     EXPECT_GT(by_name[required], 0) << "missing span " << required;
   }
   // One cp.shard span per shard in the plan.

@@ -174,6 +174,17 @@ TEST(ProcessWorkers, DifferentialUnsharded) {
   ExpectNoLiveProcess(pids);
 }
 
+// Process mode forwards controller-side (Dpo::RunQueries); the forwarding
+// phase must still report its measured wall time and engine steps.
+TEST(ProcessWorkers, ForwardingTimeAndStepsAreMeasured) {
+  dp::Query query = EdgeQuery(DefaultDcn());
+  core::S2Verifier proc(BaseOptions(3, 0, WorkerMode::kProcess));
+  core::VerifyResult got = proc.Verify(DefaultDcn(), {query});
+  ASSERT_EQ(got.status, core::RunStatus::kOk) << got.failure_detail;
+  EXPECT_GT(got.dp_forward.wall_seconds, 0.0);
+  EXPECT_GT(got.forwarding_steps, 0u);
+}
+
 // Sharded differential (prefix sharding exercises SpillBgp blob shipping
 // and the private child-side spill stores).
 TEST(ProcessWorkers, DifferentialSharded) {
