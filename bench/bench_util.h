@@ -10,9 +10,9 @@
 //
 //   paper            here            what happens at the budget
 //   FatTree40 (2000) k=6  (45 sw)    Batfish fits (1.3 MB)
-//   FatTree60 (4500) k=8  (80 sw)    Batfish OOMs, S2-1w fits (1.6 MB)
-//   FatTree80 (8000) k=10 (125 sw)   S2-1w fits (3.7 MB), Bonsai times out
-//   FatTree90 (10K)  k=12 (180 sw)   S2-1w OOMs, S2-8w fits (1.1 MB)
+//   FatTree60 (4500) k=8  (80 sw)    Batfish OOMs, S2-1w fits (1.2 MB)
+//   FatTree80 (8000) k=10 (125 sw)   S2-1w fits (2.8 MB), Bonsai times out
+//   FatTree90 (10K)  k=12 (180 sw)   S2-1w OOMs, S2-8w fits (805.3 KB)
 //
 // Bonsai's modeled compression cost and deadline are scaled the same way
 // (the 2-hour wall becomes kBonsaiDeadline).

@@ -7,9 +7,12 @@
 #include "bdd/bdd_io.h"
 #include "config/parser.h"
 #include "config/vendor.h"
+#include "cp/engine.h"
 #include "cp/policy.h"
 #include "cp/rib.h"
+#include "dp/fib.h"
 #include "dp/packet.h"
+#include "dp/predicates.h"
 #include "obs/trace.h"
 #include "topo/fattree.h"
 #include "topo/partition.h"
@@ -322,6 +325,62 @@ void BM_RibStoreSpillReadBack(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * shards * nodes);
 }
 BENCHMARK(BM_RibStoreSpillReadBack)->Args({20, 45})->Args({8, 33});
+
+// ------------------------------------------------------------ predicates
+
+// Converged FIBs of FatTree k=12's edge-0-0, agg-0-0 and core-0-0 (the
+// three switch roles), built once from a monolithic control-plane run.
+struct FatTreeFibs {
+  config::ParsedNetwork network;
+  std::vector<std::pair<topo::NodeId, dp::Fib>> fibs;
+};
+
+const FatTreeFibs& BenchFatTreeFibs() {
+  static const FatTreeFibs* fibs = [] {
+    auto* out = new FatTreeFibs;
+    topo::FatTreeParams params;
+    params.k = 12;
+    out->network = config::ParseNetwork(
+        config::SynthesizeConfigs(topo::MakeFatTree(params)));
+    cp::MonoEngine engine(out->network, nullptr);
+    engine.Run(nullptr, nullptr);
+    for (const char* name : {"edge-0-0", "agg-0-0", "core-0-0"}) {
+      topo::NodeId id = out->network.graph.FindByName(name);
+      const cp::Node& node = engine.node(id);
+      out->fibs.emplace_back(
+          id, dp::Fib::Build(out->network, id, node.bgp_routes(),
+                             node.ospf_routes(), nullptr));
+    }
+    return out;
+  }();
+  return *fibs;
+}
+
+// One node's port predicates on a fresh manager. Creating and destroying
+// the manager (its op caches alone are about 650 KB) is left out of the
+// timing: a worker pays it once for all of its nodes.
+// Arg: 0 = edge, 1 = aggregation, 2 = core switch.
+void BM_BuildPredicates(benchmark::State& state) {
+  const FatTreeFibs& fibs = BenchFatTreeFibs();
+  const auto& [id, fib] = fibs.fibs[static_cast<size_t>(state.range(0))];
+  const dp::HeaderLayout layout = dp::HeaderLayout::V4Only(0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto manager = std::make_unique<bdd::Manager>(layout.total_bits());
+    dp::PacketCodec codec(manager.get(), layout);
+    state.ResumeTiming();
+    dp::NodePredicates preds =
+        dp::BuildPredicates(fibs.network, id, fib, codec);
+    benchmark::DoNotOptimize(preds.forward.size());
+    state.PauseTiming();
+    state.counters["bdd_nodes"] = static_cast<double>(manager->live_nodes());
+    preds = dp::NodePredicates{};
+    manager.reset();
+    state.ResumeTiming();
+  }
+  state.counters["fib_entries"] = static_cast<double>(fib.entries.size());
+}
+BENCHMARK(BM_BuildPredicates)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 // ----------------------------------------------------- parse & partition
 

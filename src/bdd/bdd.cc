@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "obs/trace.h"
 
@@ -420,6 +421,19 @@ uint32_t Manager::IteRec(uint32_t f, uint32_t g, uint32_t h) {
 Bdd Manager::Ite(const Bdd& f, const Bdd& g, const Bdd& h) {
   MaybeGc();
   return Bdd(this, IteRec(f.node_, g.node_, h.node_));
+}
+
+Bdd Manager::MakeBdd(uint32_t var, const Bdd& low, const Bdd& high) {
+  if (low.manager_ != this || high.manager_ != this) {
+    throw std::invalid_argument("MakeBdd: child from another manager");
+  }
+  // Terminals carry kTerminalVar, which every variable precedes.
+  if (var >= num_vars_ || var >= VarOf(low.node_) ||
+      var >= VarOf(high.node_)) {
+    throw std::invalid_argument("MakeBdd: variable " + std::to_string(var) +
+                                " does not precede its children");
+  }
+  return Bdd(this, MakeNode(var, low.node_, high.node_));
 }
 
 uint32_t Manager::RestrictRec(uint32_t f, uint32_t var, bool value) {

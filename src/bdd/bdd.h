@@ -150,6 +150,14 @@ class Manager {
   Bdd Not(const Bdd& a);
   Bdd Ite(const Bdd& f, const Bdd& g, const Bdd& h);
 
+  // The reduced node "if `var` then `high` else `low`", for callers that
+  // build a diagram bottom-up by construction (dp/predicates.cc). Returns
+  // `low` when low == high and the existing node for a known triple. Not a
+  // GC point, so a bottom-up builder leaves no garbage behind. Throws
+  // std::invalid_argument unless both children come from this manager and
+  // `var` is a variable of it that precedes both children's variables.
+  Bdd MakeBdd(uint32_t var, const Bdd& low, const Bdd& high);
+
   // Cofactor: f with variable `var` fixed to `value`.
   Bdd Restrict(const Bdd& f, uint32_t var, bool value);
 

@@ -388,7 +388,7 @@ IncrementalResult VerifyIncremental(const IncrementalBase& base,
           controller.RunQuery(base.queries[i]);
       result.dp_forward.Add(outcome.metrics);
       result.comm_bytes += outcome.gather_bytes;
-      result.forwarding_steps = outcome.forwarding_steps;
+      result.forwarding_steps += outcome.forwarding_steps;
       result.queries.push_back(std::move(outcome.result));
       ++stats.queries_reverified;
     }

@@ -96,7 +96,7 @@ VerifyResult MonoVerifier::Verify(const config::ParsedNetwork& network,
       result.queries.push_back(dp::EvaluateQuery(
           query, codec, forwarding.finals(), network));
       result.dp_forward.wall_seconds += query_watch.ElapsedSeconds();
-      result.forwarding_steps = forwarding.steps();
+      result.forwarding_steps += forwarding.steps();
     }
     result.dp_forward.modeled_seconds = result.dp_forward.wall_seconds;
     result.dp_forward.rounds = static_cast<int>(queries.size());

@@ -61,6 +61,7 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
       result.dp_forward.Add(multi.aggregate);
       for (dist::Controller::QueryOutcome& outcome : multi.outcomes) {
         result.comm_bytes += outcome.gather_bytes;
+        result.forwarding_steps += outcome.forwarding_steps;
         result.queries.push_back(std::move(outcome.result));
       }
     } else {
@@ -68,7 +69,7 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
         dist::Controller::QueryOutcome outcome = controller_->RunQuery(query);
         result.dp_forward.Add(outcome.metrics);
         result.comm_bytes += outcome.gather_bytes;
-        result.forwarding_steps = outcome.forwarding_steps;
+        result.forwarding_steps += outcome.forwarding_steps;
         result.queries.push_back(std::move(outcome.result));
       }
     }

@@ -291,6 +291,7 @@ void Controller::RecoverWorker(uint32_t w) {
       (checkpoint.shard >= 0 && plan_) ? &plan_->shard(checkpoint.shard)
                                        : nullptr;
   handles_[w]->Recover(checkpoint, shard, fabric_->CurrentRound(), log);
+  dpo_->DropSnapshots();
   ++worker_recoveries_;
 }
 

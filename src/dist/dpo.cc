@@ -45,6 +45,7 @@ Dpo::Dpo(std::vector<std::unique_ptr<WorkerHandle>>* workers,
       worker_options_(worker_options) {}
 
 RoundMetrics Dpo::BuildDataPlanes(const cp::RibStore* store) {
+  DropSnapshots();
   RoundMetrics metrics;
   util::Stopwatch wall;
   pool_->ParallelFor(workers_->size(), [&](size_t w) {
@@ -66,6 +67,7 @@ RoundMetrics Dpo::BuildDataPlanes(const cp::RibStore* store) {
 RoundMetrics Dpo::BuildDataPlanesHybrid(
     const cp::RibStore* store, const std::unordered_set<topo::NodeId>& rebuild,
     const Worker::ReusableDataPlane& reuse) {
+  DropSnapshots();
   RoundMetrics metrics;
   util::Stopwatch wall;
   pool_->ParallelFor(workers_->size(), [&](size_t w) {
@@ -164,12 +166,20 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
 
   // One snapshot of every worker's canonical predicate bytes, shared
   // read-only by all query tasks (bdd_io encodes structurally, so each
-  // task can rebuild an equivalent domain in a private manager).
-  std::vector<std::map<topo::NodeId, std::vector<uint8_t>>> snapshots(
-      num_workers);
-  pool_->ParallelFor(num_workers, [&](size_t w) {
-    snapshots[w] = (*workers_)[w]->SnapshotPredicates();
-  });
+  // task can rebuild an equivalent domain in a private manager). A query
+  // sweep reuses it: for a process-backed worker each fetch is a round
+  // trip over the control channel carrying every predicate.
+  if (snapshots_.empty()) {
+    std::vector<std::map<topo::NodeId, std::vector<uint8_t>>> fetched(
+        num_workers);
+    pool_->ParallelFor(num_workers, [&](size_t w) {
+      obs::Span span("dp", "dp.snapshot_fetch");
+      span.Arg("worker", static_cast<int64_t>(w));
+      fetched[w] = (*workers_)[w]->SnapshotPredicates();
+    });
+    snapshots_ = std::move(fetched);
+  }
+  const auto& snapshots = snapshots_;
 
   std::vector<std::vector<dp::SerializedFinal>> finals(queries.size());
   std::vector<double> busy(queries.size(), 0.0);  // thread-CPU per task

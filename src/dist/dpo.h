@@ -46,13 +46,14 @@ class Dpo {
   // Query-level parallelism: independent queries run concurrently, each on
   // a private set of per-worker BDD domains rebuilt from the workers'
   // canonical predicate bytes (SnapshotPredicates) — managers stay
-  // shared-nothing, per-query and per-worker. Each query runs
-  // ForwardAcrossDomains (dist/domain.h), so its finals match RunQuery's
-  // byte for byte (pinned by the differential tests). `lanes` bounds the
-  // modeled concurrency: per-query busy is measured as thread-CPU time and
-  // the aggregate's modeled_seconds is the LPT makespan of those busies
-  // over `lanes` slots (DESIGN.md §3 — this 1-core box interleaves; the
-  // model reports what an L-thread box would).
+  // shared-nothing, per-query and per-worker. The bytes are fetched once
+  // per data-plane build and kept for later calls (see DropSnapshots).
+  // Each query runs ForwardAcrossDomains (dist/domain.h), so its finals
+  // match RunQuery's byte for byte (pinned by the differential tests).
+  // `lanes` bounds the modeled concurrency: per-query busy is measured as
+  // thread-CPU time and the aggregate's modeled_seconds is the LPT
+  // makespan of those busies over `lanes` slots (DESIGN.md §3 — this
+  // 1-core box interleaves; the model reports what an L-thread box would).
   struct MultiQueryRun {
     std::vector<QueryRun> runs;  // per query, in input order
     RoundMetrics aggregate;
@@ -61,12 +62,22 @@ class Dpo {
                            const dp::PacketCodec& gather_codec,
                            size_t lanes);
 
+  // Forgets the predicate bytes RunQueries fetched, so the next call
+  // fetches again. The builds call it; so must whoever rebuilds a
+  // worker's data plane behind the Dpo's back (Controller::RecoverWorker).
+  // A handle's own inline recovery restores the checkpoint taken right
+  // after the build, whose bytes are the ones held.
+  void DropSnapshots() { snapshots_.clear(); }
+
  private:
   std::vector<std::unique_ptr<WorkerHandle>>* workers_;
   SidecarFabric* fabric_;
   util::ThreadPool* pool_;
   CostModelParams cost_;
   Worker::Options worker_options_;
+  // Every worker's predicate bytes as RunQueries last fetched them; empty
+  // when none are held.
+  std::vector<std::map<topo::NodeId, std::vector<uint8_t>>> snapshots_;
 };
 
 }  // namespace s2::dist

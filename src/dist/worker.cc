@@ -133,26 +133,28 @@ bdd::Manager::Options Worker::DomainOptions() {
   return manager;
 }
 
+void Worker::BuildNodeDataPlane(topo::NodeId id, const cp::RibStore* store) {
+  const cp::Node& node = *nodes_.at(id);
+  std::map<util::IpPrefix, std::vector<cp::Route>> from_store;
+  const auto* bgp = &node.bgp_routes();
+  if (store != nullptr) {
+    from_store = store->ReadAll(id, attr_pool_);
+    bgp = &from_store;
+  }
+  dp::Fib fib =
+      dp::Fib::Build(*network_, id, *bgp, node.ospf_routes(), &tracker_);
+  fib_bytes_ += fib.EstimateBytes();
+  node_fib_bytes_[id] = fib.EstimateBytes();
+  fib_edges_[id] = fib.ForwardEdges();
+  dp_->engine.AddNode(
+      id, dp::BuildPredicates(*network_, id, fib, dp_->engine.codec()));
+}
+
 void Worker::BuildDataPlane(const cp::RibStore* store) {
   util::Stopwatch watch;
   dp_ = std::make_unique<dp::Domain>(options_.layout, options_.max_hops,
                                      DomainOptions());
-  for (topo::NodeId id : local_) {
-    const cp::Node& node = *nodes_.at(id);
-    std::map<util::IpPrefix, std::vector<cp::Route>> from_store;
-    const auto* bgp = &node.bgp_routes();
-    if (store != nullptr) {
-      from_store = store->ReadAll(id, attr_pool_);
-      bgp = &from_store;
-    }
-    dp::Fib fib = dp::Fib::Build(*network_, id, *bgp, node.ospf_routes(),
-                                 &tracker_);
-    fib_bytes_ += fib.EstimateBytes();
-    node_fib_bytes_[id] = fib.EstimateBytes();
-    fib_edges_[id] = fib.ForwardEdges();
-    dp_->engine.AddNode(
-        id, dp::BuildPredicates(*network_, id, fib, dp_->engine.codec()));
-  }
+  for (topo::NodeId id : local_) BuildNodeDataPlane(id, store);
   predicate_seconds_ += watch.ElapsedSeconds();
   last_phase_seconds_ = watch.ElapsedSeconds();
 }
@@ -178,20 +180,7 @@ void Worker::BuildDataPlaneHybrid(
       fib_edges_[id] = reuse.fib_edges->at(id);
       continue;
     }
-    const cp::Node& node = *nodes_.at(id);
-    std::map<util::IpPrefix, std::vector<cp::Route>> from_store;
-    const auto* bgp = &node.bgp_routes();
-    if (store != nullptr) {
-      from_store = store->ReadAll(id, attr_pool_);
-      bgp = &from_store;
-    }
-    dp::Fib fib = dp::Fib::Build(*network_, id, *bgp, node.ospf_routes(),
-                                 &tracker_);
-    fib_bytes_ += fib.EstimateBytes();
-    node_fib_bytes_[id] = fib.EstimateBytes();
-    fib_edges_[id] = fib.ForwardEdges();
-    dp_->engine.AddNode(
-        id, dp::BuildPredicates(*network_, id, fib, dp_->engine.codec()));
+    BuildNodeDataPlane(id, store);
   }
   predicate_seconds_ += watch.ElapsedSeconds();
   last_phase_seconds_ = watch.ElapsedSeconds();

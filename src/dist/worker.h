@@ -186,6 +186,10 @@ class Worker {
   bool ComputeAndShipImpl(bool suppress_remote);
   void DeliverBatch(std::vector<Message> messages);
   bdd::Manager::Options DomainOptions();
+  // Reads node `id`'s routes back (from `store` when the CP spilled),
+  // builds its FIB, charges and records it, and adds its predicates to
+  // the domain.
+  void BuildNodeDataPlane(topo::NodeId id, const cp::RibStore* store);
 
   uint32_t index_;
   const config::ParsedNetwork* network_;

@@ -3,9 +3,14 @@
 // For each device the FIB induces, via longest-prefix-match order, a
 // partition of the destination space into: per-neighbor forwarding
 // predicates, an arrive predicate, an exit predicate, and a discard
-// predicate (aggregate Null0 + no-route). ACLs induce per-port in/out
-// permit predicates. All BDDs live in the owning domain's manager — S2's
-// one-table-per-worker design.
+// predicate (aggregate Null0 + no-route). These are built by construction:
+// one bottom-up pass over a binary trie of the FIB's destination prefixes
+// emits each predicate as a reduced ordered BDD (destination variables
+// head the order, MSB first), without Apply and without garbage; outputs
+// with the same member entries share one pass. ACLs induce per-port in/out
+// permit predicates, built with Apply (first match over a few entries).
+// All BDDs live in the owning domain's manager — S2's one-table-per-worker
+// design.
 #pragma once
 
 #include <unordered_map>
@@ -29,7 +34,11 @@ struct NodePredicates {
 };
 
 // Builds the predicates of device `self` from its FIB within `codec`'s
-// manager. `network` resolves neighbor ports and ACLs.
+// manager. `network` resolves neighbor ports and ACLs. Entries are owned
+// first-match in FIB order (longest first, as Fib sorts them); `forward`
+// gets its hops in the order of the first entry owning destinations, which
+// fixes the engine's packet emission order. Throws std::invalid_argument
+// if an entry's family does not fit the layout.
 NodePredicates BuildPredicates(const config::ParsedNetwork& network,
                                topo::NodeId self, const Fib& fib,
                                const PacketCodec& codec);

@@ -4,6 +4,8 @@
 // random expressions.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "bdd/bdd.h"
 #include "util/memory_tracker.h"
 #include "util/rng.h"
@@ -103,6 +105,29 @@ TEST(BddTest, MaskedMatchIsMsbFirstPrefixMatch) {
   EXPECT_DOUBLE_EQ(m.SatFraction(f), 1.0 / 8.0);
   // Empty mask matches everything.
   EXPECT_EQ(m.MaskedMatch(0, 8, 0, 0), m.One());
+}
+
+TEST(BddTest, MakeBddBuildsReducedOrderedNodes) {
+  Manager m(4);
+  Bdd x2 = m.Var(2);
+  // Reduction rule: equal children collapse to the child itself.
+  EXPECT_EQ(m.MakeBdd(0, x2, x2), x2);
+  EXPECT_EQ(m.MakeBdd(1, m.One(), m.One()), m.One());
+  // A known triple returns the existing node's id.
+  Bdd ite = m.Ite(m.Var(1), x2, m.Zero());  // (v1 ? v2 : 0)
+  size_t allocated = m.allocated_nodes();
+  EXPECT_EQ(m.MakeBdd(1, m.Zero(), x2).id(), ite.id());
+  EXPECT_EQ(m.MakeBdd(2, m.Zero(), m.One()).id(), x2.id());
+  EXPECT_EQ(m.allocated_nodes(), allocated);
+  // A fresh triple is the function it names.
+  Bdd f = m.MakeBdd(0, x2, m.One());
+  EXPECT_EQ(f, m.Var(0) | x2);
+  // The variable must precede both children's and exist in the manager.
+  EXPECT_THROW(m.MakeBdd(2, x2, m.Zero()), std::invalid_argument);
+  EXPECT_THROW(m.MakeBdd(3, m.Zero(), x2), std::invalid_argument);
+  EXPECT_THROW(m.MakeBdd(4, m.Zero(), m.One()), std::invalid_argument);
+  Manager other(4);
+  EXPECT_THROW(m.MakeBdd(0, other.Var(1), m.One()), std::invalid_argument);
 }
 
 TEST(BddTest, SatFraction) {

@@ -223,6 +223,30 @@ TEST(DifferentialOracleTest, ParallelQueryPathMatchesSequential) {
   }
 }
 
+// VerifyResult::forwarding_steps counts every query's engine steps, on the
+// sequential and the query-parallel path alike.
+TEST(DifferentialOracleTest, ForwardingStepsSumOverQueries) {
+  topo::FatTreeParams params;
+  params.k = 4;
+  config::ParsedNetwork net = testing::Parse(topo::MakeFatTree(params));
+  dp::Query wide = AllPairQuery(net);
+  dp::Query narrow = AllPairQuery(net);
+  narrow.header_space.dst = util::MustParsePrefix("10.1.0.0/16");
+  auto steps = [&](size_t query_lanes, const std::vector<dp::Query>& queries) {
+    ControllerOptions options;
+    options.num_workers = 4;
+    options.query_lanes = query_lanes;
+    core::S2Verifier verifier(options);
+    core::VerifyResult result = verifier.Verify(net, queries);
+    EXPECT_TRUE(result.ok()) << result.failure_detail;
+    return result.forwarding_steps;
+  };
+  size_t sum = steps(0, {wide}) + steps(0, {narrow});
+  EXPECT_GT(steps(0, {narrow}), 0u);
+  EXPECT_EQ(steps(0, {wide, narrow}), sum);
+  EXPECT_EQ(steps(2, {wide, narrow}), sum);
+}
+
 // The query service must be a perfect stand-in for batch execution: every
 // field of the verdict — reachability pairs with fractions, loop/blackhole
 // finals, waypoints, multipath — byte-identical between a served query

@@ -25,6 +25,7 @@
 #include "core/s2.h"
 #include "dist/controller.h"
 #include "dist/process.h"
+#include "obs/trace.h"
 #include "test_networks.h"
 #include "topo/dcn.h"
 #include "unusable_tmpdir.h"
@@ -183,6 +184,39 @@ TEST(ProcessWorkers, ForwardingTimeAndStepsAreMeasured) {
   ASSERT_EQ(got.status, core::RunStatus::kOk) << got.failure_detail;
   EXPECT_GT(got.dp_forward.wall_seconds, 0.0);
   EXPECT_GT(got.forwarding_steps, 0u);
+}
+
+// A RunQuery sweep fetches each child's predicate bytes once per
+// data-plane build, not once per query, and its verdicts do not move.
+TEST(ProcessWorkers, QuerySweepFetchesPredicatesOnce) {
+  config::ParsedNetwork net = DefaultDcn();
+  dp::Query all = EdgeQuery(net);
+  dp::Query narrow = all;
+  narrow.header_space.dst = util::MustParsePrefix("10.1.0.0/16");
+  dp::Query one_source = all;
+  one_source.sources.resize(1);
+  std::vector<dp::Query> queries = {all, narrow, one_source};
+
+  core::S2Verifier in_proc(BaseOptions(3, 0, WorkerMode::kInProcess));
+  core::VerifyResult want = in_proc.Verify(net, queries);
+  ASSERT_EQ(want.status, core::RunStatus::kOk) << want.failure_detail;
+
+  obs::Tracer::Get().Enable();
+  core::S2Verifier proc(BaseOptions(3, 0, WorkerMode::kProcess));
+  core::VerifyResult got = proc.Verify(net, queries);
+  obs::Tracer::Get().Disable();
+  size_t fetches = 0;
+  for (const obs::Tracer::Event& event : obs::Tracer::Get().events()) {
+    if (std::string(event.name) == "dp.snapshot_fetch") ++fetches;
+  }
+  obs::Tracer::Get().Clear();
+  ASSERT_EQ(got.status, core::RunStatus::kOk) << got.failure_detail;
+  EXPECT_EQ(fetches, 3u);  // one per worker
+  ASSERT_EQ(got.queries.size(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ExpectSameVerdict(got.queries[q], want.queries[q],
+                      "query " + std::to_string(q));
+  }
 }
 
 // Sharded differential (prefix sharding exercises SpillBgp blob shipping
