@@ -8,12 +8,6 @@
 // reordering + two worker crashes) to show convergence still holds when
 // the protocol earns its keep.
 //
-// --transport=uds|tcp switches to the loopback socket-transport overhead
-// mode: the default DCN all-pair verification with the in-process fabric
-// vs. real stream sockets (dist/socket_transport.h), best-of-5
-// interleaved, emitting BENCH_transport_overhead.json and gating the
-// socket overhead at <= 15% with identical verdicts.
-//
 // --worker_mode=process switches to the multi-process worker overhead
 // mode (DESIGN.md §16): the same DCN workload with workers behind real
 // fork/exec'd s2_worker processes — spawn, config re-parse, control-
@@ -139,83 +133,6 @@ int Main(const ObsOptions& obs) {
   return (overhead < 0.10 && same_verdicts) ? 0 : 1;
 }
 
-int TransportMain(const ObsOptions& obs, dist::TransportKind kind) {
-  BuiltNetwork built;
-  built.network = topo::MakeDcn(topo::DcnParams{});
-  built.parsed =
-      config::ParseNetwork(config::SynthesizeConfigs(built.network));
-  dp::Query query = AllPairQuery(built.parsed);
-
-  dist::ControllerOptions in_process = S2Options(8, /*shards=*/0);
-  dist::ControllerOptions socket = in_process;
-  socket.transport = kind;
-
-  std::printf("transport_overhead: default DCN, 8 workers, %s vs"
-              " in_process, best of %d\n\n",
-              dist::TransportKindName(kind), kRepeats);
-  Sample base, stream;
-  for (int r = 0; r < kRepeats; ++r) {
-    MeasureOnce(obs, built, {query}, in_process, r, base);
-    MeasureOnce(obs, built, {query}, socket, r, stream);
-  }
-
-  std::printf("%-12s %10s %12s %14s %14s\n", "transport", "status", "wall",
-              "reachable", "best_routes");
-  auto row = [&](const char* label, const Sample& sample) {
-    std::printf("%-12s %10s %12s %14zu %14zu\n", label,
-                core::RunStatusName(sample.result.status),
-                core::HumanSeconds(sample.wall_seconds).c_str(),
-                sample.result.queries.empty()
-                    ? size_t{0}
-                    : sample.result.queries[0].reachable_pairs,
-                sample.result.total_best_routes);
-  };
-  row("in_process", base);
-  row(dist::TransportKindName(kind), stream);
-
-  double overhead =
-      (stream.wall_seconds - base.wall_seconds) / base.wall_seconds;
-  bool same_verdicts =
-      base.result.ok() && stream.result.ok() &&
-      base.result.queries[0].reachable_pairs ==
-          stream.result.queries[0].reachable_pairs &&
-      base.result.queries[0].unreachable_pairs ==
-          stream.result.queries[0].unreachable_pairs &&
-      base.result.queries[0].loop_free == stream.result.queries[0].loop_free &&
-      base.result.total_best_routes == stream.result.total_best_routes;
-  std::printf("\nsocket-transport overhead: %+.1f%% (target <= 15%%)\n",
-              overhead * 100.0);
-  std::printf("socket run verdicts match in-process run: %s\n",
-              same_verdicts ? "yes" : "NO — transport bug");
-
-  std::FILE* json = std::fopen("BENCH_transport_overhead.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"benchmark\": \"transport_overhead\",\n"
-                 "  \"topology\": \"dcn-default\",\n"
-                 "  \"workers\": 8,\n"
-                 "  \"transport\": \"%s\",\n"
-                 "  \"in_process_seconds\": %.6f,\n"
-                 "  \"socket_seconds\": %.6f,\n"
-                 "  \"overhead_ratio\": %.4f,\n"
-                 "  \"verdicts_match\": %s,\n"
-                 "  \"reachable_pairs\": %zu,\n"
-                 "  \"total_best_routes\": %zu\n"
-                 "}\n",
-                 dist::TransportKindName(kind), base.wall_seconds,
-                 stream.wall_seconds, overhead,
-                 same_verdicts ? "true" : "false",
-                 base.result.queries.empty()
-                     ? size_t{0}
-                     : base.result.queries[0].reachable_pairs,
-                 base.result.total_best_routes);
-    std::fclose(json);
-    std::printf("wrote BENCH_transport_overhead.json\n");
-  }
-  return (overhead <= 0.15 && same_verdicts) ? 0 : 1;
-}
-
 int ProcessMain(const ObsOptions& obs) {
   BuiltNetwork built;
   built.network = topo::MakeDcn(topo::DcnParams{});
@@ -336,22 +253,13 @@ int ProcessMain(const ObsOptions& obs) {
 }  // namespace s2::bench
 
 int main(int argc, char** argv) {
-  // Peel off --transport= / --worker_mode= before the shared obs flags
-  // see the argv.
-  s2::dist::TransportKind transport = s2::dist::TransportKind::kInProcess;
+  // Peel off --worker_mode= before the shared obs flags see the argv.
   s2::dist::WorkerMode worker_mode = s2::dist::WorkerMode::kInProcess;
   std::vector<char*> rest{argv[0]};
-  const std::string kTransport = "--transport=";
   const std::string kWorkerMode = "--worker_mode=";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.compare(0, kTransport.size(), kTransport) == 0) {
-      std::string name = arg.substr(kTransport.size());
-      if (!s2::dist::ParseTransportKind(name, transport)) {
-        std::fprintf(stderr, "unknown --transport value: %s\n", name.c_str());
-        return 2;
-      }
-    } else if (arg.compare(0, kWorkerMode.size(), kWorkerMode) == 0) {
+    if (arg.compare(0, kWorkerMode.size(), kWorkerMode) == 0) {
       std::string name = arg.substr(kWorkerMode.size());
       if (!s2::dist::ParseWorkerMode(name, &worker_mode)) {
         std::fprintf(stderr, "unknown --worker_mode value: %s\n",
@@ -364,14 +272,9 @@ int main(int argc, char** argv) {
   }
   s2::bench::ObsOptions obs =
       s2::bench::ParseObsFlags(static_cast<int>(rest.size()), rest.data());
-  int rc;
-  if (worker_mode == s2::dist::WorkerMode::kProcess) {
-    rc = s2::bench::ProcessMain(obs);
-  } else if (transport != s2::dist::TransportKind::kInProcess) {
-    rc = s2::bench::TransportMain(obs, transport);
-  } else {
-    rc = s2::bench::Main(obs);
-  }
+  int rc = worker_mode == s2::dist::WorkerMode::kProcess
+               ? s2::bench::ProcessMain(obs)
+               : s2::bench::Main(obs);
   s2::bench::FinishObs(obs);
   return rc;
 }

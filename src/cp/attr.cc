@@ -156,8 +156,6 @@ AttrPool::Stats AttrPool::stats() const {
     stats.shared_bytes = shared_bytes_;
     stats.peak_shared_bytes = peak_shared_bytes_;
   }
-  stats.plain_bytes = plain_live_.load(std::memory_order_relaxed);
-  stats.peak_plain_bytes = plain_peak_.load(std::memory_order_relaxed);
   stats.wire_tuples_written =
       wire_tuples_written_.load(std::memory_order_relaxed);
   stats.wire_tuples_reused =
@@ -169,20 +167,6 @@ AttrPool::Stats AttrPool::stats() const {
 size_t AttrPool::live_entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return live_entries_;
-}
-
-void AttrPool::ChargePlain(size_t bytes) {
-  size_t now = plain_live_.fetch_add(bytes, std::memory_order_relaxed) +
-               bytes;
-  size_t peak = plain_peak_.load(std::memory_order_relaxed);
-  while (now > peak &&
-         !plain_peak_.compare_exchange_weak(peak, now,
-                                            std::memory_order_relaxed)) {
-  }
-}
-
-void AttrPool::ReleasePlain(size_t bytes) {
-  plain_live_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
 void AttrPool::NoteWireSavings(uint64_t written, uint64_t reused,

@@ -154,9 +154,6 @@ class AttrPool {
     size_t peak_entries = 0;
     size_t shared_bytes = 0;  // live interned tuple bytes
     size_t peak_shared_bytes = 0;
-    // Shadow pre-flyweight accounting (Route::PlainBytes per live copy).
-    size_t plain_bytes = 0;
-    size_t peak_plain_bytes = 0;
     // Wire attribute-table effect (SerializeRoutes batches).
     uint64_t wire_tuples_written = 0;
     uint64_t wire_tuples_reused = 0;
@@ -184,14 +181,6 @@ class AttrPool {
   Stats stats() const;
   size_t live_entries() const;
 
-  // Shadow accounting of what the pre-flyweight layout would have used
-  // (callers mirror their UniqueBytes charges with PlainBytes here).
-  void ChargePlain(size_t bytes);
-  void ReleasePlain(size_t bytes);
-  size_t plain_peak_bytes() const {
-    return plain_peak_.load(std::memory_order_relaxed);
-  }
-
   // Serializer feedback: `written` distinct tuples emitted into a batch's
   // attribute table, `reused` route references that shared one, `saved`
   // wire bytes relative to the inline-per-route encoding.
@@ -218,8 +207,6 @@ class AttrPool {
   size_t shared_bytes_ = 0;
   size_t peak_shared_bytes_ = 0;
 
-  std::atomic<size_t> plain_live_{0};
-  std::atomic<size_t> plain_peak_{0};
   std::atomic<uint64_t> wire_tuples_written_{0};
   std::atomic<uint64_t> wire_tuples_reused_{0};
   std::atomic<uint64_t> wire_bytes_saved_{0};

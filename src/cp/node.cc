@@ -11,7 +11,7 @@ Node::Node(topo::NodeId id, const config::ParsedNetwork& network,
       network_(&network),
       tracker_(tracker),
       pool_(pool),
-      rib_(tracker, pool) {
+      rib_(tracker) {
   for (const config::BgpNeighbor& neighbor : config().bgp.neighbors) {
     Session session;
     session.neighbor = &neighbor;
@@ -36,7 +36,6 @@ Node::~Node() {
 
 void Node::ChargeResult(const Route& route) {
   if (tracker_) tracker_->Charge(route.UniqueBytes());
-  if (pool_) pool_->ChargePlain(route.PlainBytes());
 }
 
 void Node::ReleaseResults(
@@ -44,7 +43,6 @@ void Node::ReleaseResults(
   for (const auto& [prefix, routes] : results) {
     for (const Route& r : routes) {
       if (tracker_) tracker_->Release(r.UniqueBytes());
-      if (pool_) pool_->ReleasePlain(r.PlainBytes());
     }
   }
   results.clear();

@@ -14,16 +14,13 @@ namespace s2::cp {
 
 void Rib::ChargeRoute(const Route& route) {
   // Amortized accounting: the copy's fixed footprint only — the shared
-  // tuple bytes are charged once by the AttrPool on first intern. The
-  // pool's shadow counters track what the pre-flyweight layout would
-  // have charged (DESIGN.md §4).
+  // tuple bytes are charged once by the AttrPool on first intern
+  // (DESIGN.md §4).
   if (tracker_) tracker_->Charge(route.UniqueBytes());
-  if (pool_) pool_->ChargePlain(route.PlainBytes());
 }
 
 void Rib::ReleaseRoute(const Route& route) {
   if (tracker_) tracker_->Release(route.UniqueBytes());
-  if (pool_) pool_->ReleasePlain(route.PlainBytes());
 }
 
 void Rib::Upsert(topo::NodeId from, const Route& route) {

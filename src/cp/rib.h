@@ -27,13 +27,10 @@ namespace s2::cp {
 //
 // With hash-consed attributes each stored Route is charged only its fixed
 // footprint (Route::UniqueBytes) — the shared tuple bytes are the owning
-// AttrPool's to account. The pool pointer (may be null) additionally
-// mirrors every charge into the pool's shadow pre-flyweight counters so
-// benchmarks can report the reduction (DESIGN.md §4).
+// AttrPool's to account (DESIGN.md §4).
 class Rib {
  public:
-  explicit Rib(util::MemoryTracker* tracker, AttrPool* pool = nullptr)
-      : tracker_(tracker), pool_(pool) {}
+  explicit Rib(util::MemoryTracker* tracker) : tracker_(tracker) {}
   ~Rib() { Clear(); }
 
   Rib(const Rib&) = delete;
@@ -99,7 +96,6 @@ class Rib {
   void ReleaseRoute(const Route& route);
 
   util::MemoryTracker* tracker_;
-  AttrPool* pool_;
   // prefix -> neighbor -> candidate. Ordered maps keep iteration (and thus
   // everything downstream) deterministic.
   std::map<util::IpPrefix, std::map<topo::NodeId, Route>> candidates_;

@@ -90,13 +90,6 @@ struct Route {
   // charged once per distinct live tuple by the owning AttrPool.
   size_t UniqueBytes() const { return 64; }
 
-  // What the pre-flyweight layout charged per copy — sized after the JVM
-  // footprint of a Batfish BGP route (DESIGN.md S4). Kept as the shadow
-  // accounting benchmarks compare against.
-  size_t PlainBytes() const {
-    return 150 + 4 * as_path().size() + 4 * communities().size();
-  }
-
   // Diagnostic total: this copy plus its (possibly shared) tuple.
   size_t EstimateBytes() const {
     return UniqueBytes() + attrs->SharedBytes();

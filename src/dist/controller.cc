@@ -27,9 +27,7 @@ void Controller::Setup() {
   partition_ = topo::Partition(network_.graph, options_.num_workers,
                                options_.scheme, options_.seed);
   fabric_ = std::make_unique<SidecarFabric>(options_.num_workers,
-                                            partition_.assignment,
-                                            options_.transport,
-                                            options_.transport_options);
+                                            partition_.assignment);
   if (options_.fault_plan) {
     injector_ = std::make_unique<fault::FaultInjector>(*options_.fault_plan);
   }
@@ -375,44 +373,6 @@ void Controller::PublishMetrics(obs::Registry& registry) const {
       registry.SetCounter("transport.out_of_order",
                           static_cast<int64_t>(stats.out_of_order));
     }
-    registry.SetLabel("transport.kind",
-                      TransportKindName(fabric_->transport_kind()));
-    if (fabric_->transport_kind() != TransportKind::kInProcess) {
-      TransportStats stream = fabric_->stream_stats();
-      registry.SetCounter("transport.stream.frames_sent",
-                          static_cast<int64_t>(stream.frames_sent));
-      registry.SetCounter("transport.stream.frames_received",
-                          static_cast<int64_t>(stream.frames_received));
-      registry.SetCounter("transport.stream.bytes_sent",
-                          static_cast<int64_t>(stream.bytes_sent));
-      registry.SetCounter("transport.stream.bytes_received",
-                          static_cast<int64_t>(stream.bytes_received));
-      registry.SetCounter("transport.stream.partial_writes",
-                          static_cast<int64_t>(stream.partial_writes));
-      registry.SetCounter("transport.stream.partial_reads",
-                          static_cast<int64_t>(stream.partial_reads));
-      registry.SetCounter("transport.stream.eintr_retries",
-                          static_cast<int64_t>(stream.eintr_retries));
-      registry.SetCounter("transport.stream.eagain_waits",
-                          static_cast<int64_t>(stream.eagain_waits));
-      registry.SetCounter("transport.stream.dials",
-                          static_cast<int64_t>(stream.dials));
-      registry.SetCounter("transport.stream.reconnects",
-                          static_cast<int64_t>(stream.reconnects));
-      registry.SetCounter("transport.reconnect.attempts",
-                          static_cast<int64_t>(stream.reconnect_attempts));
-      registry.SetCounter("transport.reconnect.giveups",
-                          static_cast<int64_t>(stream.reconnect_giveups));
-      registry.SetCounter("transport.stream.frames_lost",
-                          static_cast<int64_t>(stream.frames_lost));
-      registry.SetCounter(
-          "transport.stream.partial_frames_discarded",
-          static_cast<int64_t>(stream.partial_frames_discarded));
-      registry.SetCounter("transport.stream.backpressure_hits",
-                          static_cast<int64_t>(stream.backpressure_hits));
-      registry.SetCounter("transport.stream.stall_micros",
-                          static_cast<int64_t>(stream.stall_micros));
-    }
   }
   if (cpo_) {
     const std::vector<ShardMetrics>& shards = cpo_->shard_metrics();
@@ -471,8 +431,6 @@ void Controller::PublishMetrics(obs::Registry& registry) const {
     attr.peak_entries += s.peak_entries;
     attr.shared_bytes += s.shared_bytes;
     attr.peak_shared_bytes += s.peak_shared_bytes;
-    attr.plain_bytes += s.plain_bytes;
-    attr.peak_plain_bytes += s.peak_plain_bytes;
     attr.wire_tuples_written += s.wire_tuples_written;
     attr.wire_tuples_reused += s.wire_tuples_reused;
     attr.wire_bytes_saved += s.wire_bytes_saved;
@@ -488,8 +446,6 @@ void Controller::PublishMetrics(obs::Registry& registry) const {
                       static_cast<int64_t>(attr.peak_entries));
   registry.SetCounter("attr.shared_peak_bytes",
                       static_cast<int64_t>(attr.peak_shared_bytes));
-  registry.SetCounter("attr.plain_equivalent_peak_bytes",
-                      static_cast<int64_t>(attr.peak_plain_bytes));
   registry.SetCounter("attr.wire_tuples_written",
                       static_cast<int64_t>(attr.wire_tuples_written));
   registry.SetCounter("attr.wire_tuples_reused",

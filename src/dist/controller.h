@@ -11,7 +11,6 @@
 
 #include "dist/dpo.h"
 #include "dist/process.h"
-#include "dist/transport.h"
 #include "fault/plan.h"
 #include "obs/registry.h"
 #include "topo/partition.h"
@@ -46,15 +45,6 @@ struct ControllerOptions {
   // timers) even without a fault plan — what bench/fault_overhead.cc
   // measures against the default direct fabric.
   bool reliable_delivery = false;
-
-  // Physical layer under the sidecar fabric (dist/transport.h):
-  // kInProcess (default) is the deterministic test double; kUnixSocket /
-  // kTcp move every cross-worker message over real loopback stream
-  // sockets. Verdicts, predicate bytes, and route accounting are
-  // transport-invariant; only timing and the transport.stream.* counters
-  // change.
-  TransportKind transport = TransportKind::kInProcess;
-  TransportOptions transport_options;
 
   // Worker execution mode (dist/process.h): kInProcess (default) keeps the
   // historical byte-identical in-process workers; kProcess fork/execs one

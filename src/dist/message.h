@@ -52,8 +52,9 @@ void EncodePacketBatch(const std::vector<dp::WirePacket>& frames,
 std::vector<dp::WirePacket> DecodePacketBatch(
     const std::vector<uint8_t>& payload);
 
-// Whole-message codec: what the socket transport ships as one frame
-// (dist/socket_transport.h). Append-only encode; decode throws
+// Whole-message codec: what a process-mode worker's control channel
+// carries in a kData or kDeliver frame and in a restore spec's replay log
+// (dist/process.h). Append-only encode; decode throws
 // util::WireFormatError on truncation, unknown message types, and length
 // fields exceeding the remaining bytes — never aborts or allocates an
 // absurd length.

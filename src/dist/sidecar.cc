@@ -7,14 +7,17 @@
 namespace s2::dist {
 
 SidecarFabric::SidecarFabric(uint32_t num_workers,
-                             std::vector<uint32_t> assignment,
-                             TransportKind transport,
-                             const TransportOptions& options)
+                             std::vector<uint32_t> assignment)
     : num_workers_(num_workers),
       assignment_(std::move(assignment)),
-      transport_(MakeTransport(transport, num_workers, options)),
+      max_queue_depth_(num_workers),
       bytes_sent_(num_workers),
-      messages_sent_(num_workers) {}
+      messages_sent_(num_workers) {
+  queues_.reserve(num_workers);
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    queues_.push_back(std::make_unique<QueueShard>());
+  }
+}
 
 void SidecarFabric::EnableReliableDelivery(const fault::FaultPlan& tuning,
                                            const fault::FaultInjector* injector,
@@ -22,35 +25,27 @@ void SidecarFabric::EnableReliableDelivery(const fault::FaultPlan& tuning,
   std::lock_guard<std::mutex> lock(reliable_mutex_);
   reliable_ = std::make_unique<fault::ReliableTransport>(
       num_workers_, tuning, injector, keep_replay_log);
-  if (transport_->kind() != TransportKind::kInProcess) {
-    // Over a real stream the envelope's frames must travel as bytes: the
-    // receiver cannot reach into the sender's custody buffer, and injected
-    // losses have to be recovered by retransmits that genuinely re-cross
-    // the wire.
-    reliable_->set_carrier(
-        [this](uint32_t from, uint32_t to, std::vector<uint8_t> bytes) {
-          transport_->SendFrame(from, to, std::move(bytes));
-        });
-  }
   // Migrate messages already queued but not yet drained: dropping them on
   // the mode switch would break send/drain conservation (a worker that
   // recovers mid-phase re-enables reliability with traffic in flight).
   for (uint32_t worker = 0; worker < num_workers_; ++worker) {
-    for (Message& message : transport_->Drain(worker)) {
+    QueueShard& shard = *queues_[worker];
+    std::lock_guard<std::mutex> queue_lock(shard.mutex);
+    for (Message& message : shard.queue) {
       uint32_t from = message.from_node != topo::kInvalidNode &&
                               message.from_node < assignment_.size()
                           ? WorkerOf(message.from_node)
                           : worker;
       reliable_->Ship(from, worker, std::move(message));
     }
+    shard.queue.clear();
   }
 }
 
 void SidecarFabric::Send(uint32_t from_worker, Message message) {
   uint32_t to_worker = WorkerOf(message.to_node);
   // Counters track application payloads (what the cost model bills); the
-  // reliable envelope's retransmit/ack traffic shows in transport_stats()
-  // and the raw stream accounting in stream_stats().
+  // reliable envelope's retransmit/ack traffic shows in transport_stats().
   bytes_sent_[from_worker].fetch_add(message.WireBytes(),
                                      std::memory_order_relaxed);
   messages_sent_[from_worker].fetch_add(1, std::memory_order_relaxed);
@@ -59,7 +54,17 @@ void SidecarFabric::Send(uint32_t from_worker, Message message) {
     reliable_->Ship(from_worker, to_worker, std::move(message));
     return;
   }
-  transport_->Send(from_worker, to_worker, std::move(message));
+  QueueShard& shard = *queues_[to_worker];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  if (send_hook_) send_hook_(to_worker);
+  shard.queue.push_back(std::move(message));
+  size_t depth = shard.queue.size();
+  std::atomic<size_t>& high = max_queue_depth_[to_worker];
+  size_t seen = high.load(std::memory_order_relaxed);
+  while (depth > seen &&
+         !high.compare_exchange_weak(seen, depth,
+                                     std::memory_order_relaxed)) {
+  }
 }
 
 std::vector<Message> SidecarFabric::Drain(uint32_t worker) {
@@ -68,19 +73,17 @@ std::vector<Message> SidecarFabric::Drain(uint32_t worker) {
   span.Arg("reliable", reliable_ != nullptr ? 1 : 0);
   if (reliable_ != nullptr) {
     std::lock_guard<std::mutex> lock(reliable_mutex_);
-    if (transport_->kind() != TransportKind::kInProcess) {
-      // Collect the carrier frames that have crossed the stream and feed
-      // them into the envelope before its drain, so socket-borne data,
-      // acks, and retransmits are seen this round.
-      for (std::vector<uint8_t>& frame : transport_->DrainFrames(worker)) {
-        reliable_->InjectReceived(worker, frame);
-      }
-    }
     std::vector<Message> out = reliable_->Drain(worker);
     span.Arg("messages", static_cast<int64_t>(out.size()));
     return out;
   }
-  std::vector<Message> out = transport_->Drain(worker);
+  std::vector<Message> out;
+  {
+    QueueShard& shard = *queues_[worker];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    out = std::move(shard.queue);
+    shard.queue.clear();
+  }
   span.Arg("messages", static_cast<int64_t>(out.size()));
   return out;
 }
@@ -90,7 +93,11 @@ bool SidecarFabric::HasPending() const {
     std::lock_guard<std::mutex> lock(reliable_mutex_);
     return reliable_->HasPending();
   }
-  return transport_->HasPending();
+  for (const auto& shard : queues_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    if (!shard->queue.empty()) return true;
+  }
+  return false;
 }
 
 size_t SidecarFabric::bytes_sent_by(uint32_t worker) const {
@@ -114,7 +121,7 @@ size_t SidecarFabric::max_queue_depth(uint32_t worker) const {
     std::lock_guard<std::mutex> lock(reliable_mutex_);
     return reliable_->MaxQueueDepth(worker);
   }
-  return transport_->MaxQueueDepth(worker);
+  return max_queue_depth_[worker].load(std::memory_order_relaxed);
 }
 
 void SidecarFabric::ResetCounters() {
@@ -125,7 +132,9 @@ void SidecarFabric::ResetCounters() {
   // High-water marks reset in every mode: the reliable envelope's marks
   // used to survive ResetCounters while the direct-mode marks cleared,
   // which skewed any experiment that resets between phases.
-  transport_->ResetHighWater();
+  for (std::atomic<size_t>& high : max_queue_depth_) {
+    high.store(0, std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(reliable_mutex_);
   if (reliable_ != nullptr) reliable_->ResetMaxQueueDepth();
 }

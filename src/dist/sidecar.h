@@ -2,29 +2,27 @@
 //
 // Each worker (and the controller) owns a sidecar; every sidecar holds the
 // node->worker assignment so a message addressed to a node is routed to
-// the worker hosting it. The physical layer is a dist::Transport
-// (dist/transport.h): the deterministic in-process double by default, or
-// real Unix-domain / loopback TCP stream sockets. Either way the
-// observable contract holds: messages are serialized bytes, queues are
-// drained at phase boundaries, and per-worker sent/received byte counters
-// feed the cost model (DESIGN.md substitution S3).
+// the worker hosting it. The fabric lives in one process: in-process
+// workers send into it directly, and process-mode workers
+// (dist/process.h) reach it through the controller over their control
+// channel. Messages are serialized bytes, queues are drained at phase
+// boundaries, and per-worker sent/received byte counters feed the cost
+// model (DESIGN.md substitution S3).
 //
-// Two delivery modes, orthogonal to the transport choice:
-//   - direct (default): the transport's loss-free message path;
+// Two delivery modes (DESIGN.md §13):
+//   - direct (default): per-destination queues of Message values, moved
+//     in and out with no copy;
 //   - reliable: every message runs through fault::ReliableTransport
 //     (sequence numbers, acks, retransmits) with an optional
-//     FaultInjector perturbing frames. Over a socket transport the
-//     envelope's frames travel as serialized bytes on the raw frame path,
-//     so retransmits and acks cross a real wire. The sidecar survives
-//     worker crashes — like the paper's separate sidecar process — so its
+//     FaultInjector perturbing frames. The sidecar survives worker
+//     crashes — like the paper's separate sidecar process — so its
 //     channel state and replay logs are what recovery builds on.
 //
-// Locking: the in-process direct path shards its lock per destination
-// queue inside InProcessTransport, so senders to different workers never
-// contend. Reliable mode keeps one transport-wide lock: ReliableTransport
-// owns cross-channel state — a global round clock and cumulative
-// per-channel acks whose retransmit decisions observe every channel — so
-// per-queue locks would not make its operations independent.
+// Locking: direct mode takes one lock per destination queue, so senders
+// to different workers never contend. Reliable mode keeps one fabric-wide
+// lock: ReliableTransport owns cross-channel state — a global round clock
+// and cumulative per-channel acks whose retransmit decisions observe every
+// channel — so per-queue locks would not make its operations independent.
 #pragma once
 
 #include <atomic>
@@ -34,23 +32,18 @@
 #include <vector>
 
 #include "dist/message.h"
-#include "dist/transport.h"
 #include "fault/reliable.h"
 
 namespace s2::dist {
 
 class SidecarFabric {
  public:
-  // `assignment[node]` = worker index hosting that node. `transport`
-  // selects the physical layer; `options` tunes the socket transports.
-  SidecarFabric(uint32_t num_workers, std::vector<uint32_t> assignment,
-                TransportKind transport = TransportKind::kInProcess,
-                const TransportOptions& options = {});
+  // `assignment[node]` = worker index hosting that node.
+  SidecarFabric(uint32_t num_workers, std::vector<uint32_t> assignment);
 
   uint32_t num_workers() const { return num_workers_; }
   uint32_t WorkerOf(topo::NodeId node) const { return assignment_[node]; }
   const std::vector<uint32_t>& assignment() const { return assignment_; }
-  TransportKind transport_kind() const { return transport_->kind(); }
 
   // Switches the fabric to reliable delivery. `injector` (may be null for
   // pure reliability) must outlive the fabric; `keep_replay_log` enables
@@ -81,18 +74,18 @@ class SidecarFabric {
   size_t total_bytes() const;
 
   // High-water mark of `worker`'s inbound queue. Survives Drain; resets
-  // with ResetCounters — in every transport/delivery mode.
+  // with ResetCounters — in both delivery modes.
   size_t max_queue_depth(uint32_t worker) const;
 
   // Resets the per-worker counters (between phases/experiments).
   void ResetCounters();
 
   // Test-only: invoked with the destination worker inside the per-queue
-  // critical section of an in-process direct-mode Send. Lets concurrency
-  // tests prove that holding one destination's lock does not block sends
-  // to another. Not thread-safe to set while traffic flows.
+  // critical section of a direct-mode Send. Lets concurrency tests prove
+  // that holding one destination's lock does not block sends to another.
+  // Not thread-safe to set while traffic flows.
   void set_send_hook(std::function<void(uint32_t)> hook) {
-    transport_->set_send_hook(std::move(hook));
+    send_hook_ = std::move(hook);
   }
 
   // ------------------------------------------------ recovery (reliable mode)
@@ -106,19 +99,21 @@ class SidecarFabric {
   int CurrentRound() const;
   // Reliability-envelope counters (zero in direct mode).
   fault::ReliableTransport::Stats transport_stats() const;
-  // Physical-layer counters (zero for the in-process double).
-  TransportStats stream_stats() const { return transport_->stats(); }
-
-  // Test hook: severs the from->to stream as a real peer failure would.
-  // No-op for the in-process double.
-  void InjectDisconnect(uint32_t from, uint32_t to) {
-    transport_->InjectDisconnect(from, to);
-  }
 
  private:
+  // Direct mode: one inbound queue per worker with its own lock.
+  // unique_ptr because std::mutex is immovable and the vector is sized at
+  // construction.
+  struct QueueShard {
+    std::mutex mutex;
+    std::vector<Message> queue;
+  };
+
   uint32_t num_workers_;
   std::vector<uint32_t> assignment_;
-  std::unique_ptr<Transport> transport_;
+  std::vector<std::unique_ptr<QueueShard>> queues_;  // per receiving worker
+  std::vector<std::atomic<size_t>> max_queue_depth_;
+  std::function<void(uint32_t)> send_hook_;
   // Counters are atomics so concurrent senders never race, even where no
   // queue lock is held.
   std::vector<std::atomic<size_t>> bytes_sent_;  // per sending worker

@@ -49,9 +49,19 @@ class FrameWriter {
  public:
   explicit FrameWriter(int fd) : fd_(fd) {}
 
+  // False once the channel is closed or the controller is gone.
   bool Write(const CtrlFrame& frame) {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (fd_ < 0) return false;
     return WriteFrameFd(fd_, EncodeCtrlFrame(frame));
+  }
+
+  // Closes the channel under the write lock, so a heartbeat in flight
+  // never writes to a closed (or reused) descriptor.
+  void Close() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (fd_ >= 0) close(fd_);
+    fd_ = -1;
   }
 
  private:
@@ -323,7 +333,7 @@ int RunWorker(int fd, uint32_t index, int heartbeat_ms) {
   }
 
   stop.store(true, std::memory_order_relaxed);
-  close(fd);
+  writer.Close();
   // Crash-only exit: every byte the controller needs is already on the
   // wire, and the checkpoint/journal path must work regardless of how this
   // process dies — so don't burn CPU tearing down BDD managers and RIBs

@@ -1,10 +1,8 @@
 #include "fault/reliable.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
-
-#include "cp/route.h"
-#include "util/status.h"
 
 namespace s2::fault {
 
@@ -15,60 +13,7 @@ namespace {
 // their rolls independent of the data frames on the reverse channel.
 constexpr uint64_t kAckSeqBase = uint64_t{1} << 63;
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  cp::PutWireU32(out, static_cast<uint32_t>(v));
-  cp::PutWireU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint64_t GetU64(const std::vector<uint8_t>& in, size_t& pos) {
-  uint64_t lo = cp::GetWireU32(in, pos);
-  uint64_t hi = cp::GetWireU32(in, pos);
-  return lo | (hi << 32);
-}
-
 }  // namespace
-
-std::vector<uint8_t> EncodeCarrierFrame(const CarrierFrame& frame) {
-  std::vector<uint8_t> out;
-  out.push_back(frame.kind);
-  cp::PutWireU32(out, frame.from);
-  cp::PutWireU32(out, frame.to);
-  PutU64(out, frame.seq);
-  cp::PutWireU32(out, static_cast<uint32_t>(frame.ready_round));
-  out.push_back(frame.demoted ? 1 : 0);
-  out.push_back(frame.has_payload ? 1 : 0);
-  if (frame.has_payload) dist::EncodeMessage(frame.payload, out);
-  return out;
-}
-
-CarrierFrame DecodeCarrierFrame(const std::vector<uint8_t>& bytes) {
-  CarrierFrame frame;
-  size_t pos = 0;
-  if (bytes.size() < 23) {
-    throw util::WireFormatError("carrier frame of " +
-                                std::to_string(bytes.size()) +
-                                " bytes is shorter than its header");
-  }
-  frame.kind = bytes[pos++];
-  if (frame.kind > 1) {
-    throw util::WireFormatError("unknown carrier frame kind " +
-                                std::to_string(frame.kind));
-  }
-  frame.from = cp::GetWireU32(bytes, pos);
-  frame.to = cp::GetWireU32(bytes, pos);
-  frame.seq = GetU64(bytes, pos);
-  frame.ready_round = static_cast<int>(cp::GetWireU32(bytes, pos));
-  frame.demoted = bytes[pos++] != 0;
-  frame.has_payload = bytes[pos++] != 0;
-  if (frame.has_payload) {
-    frame.payload = dist::DecodeMessage(
-        std::vector<uint8_t>(bytes.begin() + static_cast<ptrdiff_t>(pos),
-                             bytes.end()));
-  } else if (pos != bytes.size()) {
-    throw util::WireFormatError("trailing bytes after carrier frame");
-  }
-  return frame;
-}
 
 ReliableTransport::ReliableTransport(uint32_t num_workers,
                                      const FaultPlan& tuning,
@@ -113,8 +58,7 @@ void ReliableTransport::Enqueue(Frame frame) {
 
 void ReliableTransport::Transmit(Frame frame, uint64_t fate_seq,
                                  uint32_t attempt, int round,
-                                 size_t wire_bytes,
-                                 const dist::Message* payload) {
+                                 size_t wire_bytes) {
   FrameFate fate;
   if (injector_ != nullptr) {
     fate = injector_->Classify(frame.from, frame.to, fate_seq, attempt);
@@ -128,27 +72,6 @@ void ReliableTransport::Transmit(Frame frame, uint64_t fate_seq,
   if (fate.reorder) ++stats_.reordered;
   frame.ready_round = round + fate.delay_rounds;
   frame.demoted = fate.reorder;
-  if (carrier_) {
-    // Carrier mode: serialize (payload included — a real wire cannot read
-    // sender custody) and hand the bytes to the transport. Duplicates are
-    // independently serialized transmissions, like a duplicated RPC.
-    CarrierFrame wire;
-    wire.kind = frame.kind == Frame::Kind::kData ? 0 : 1;
-    wire.from = frame.from;
-    wire.to = frame.to;
-    wire.seq = frame.seq;
-    wire.demoted = frame.demoted;
-    wire.has_payload = payload != nullptr;
-    if (payload != nullptr) wire.payload = *payload;
-    if (fate.duplicate) {
-      ++stats_.duplicated;
-      wire.ready_round = round + fate.duplicate_delay_rounds;
-      carrier_(frame.from, frame.to, EncodeCarrierFrame(wire));
-    }
-    wire.ready_round = frame.ready_round;
-    carrier_(frame.from, frame.to, EncodeCarrierFrame(wire));
-    return;
-  }
   if (fate.duplicate) {
     ++stats_.duplicated;
     Frame copy = frame;
@@ -181,8 +104,7 @@ void ReliableTransport::Ship(uint32_t from, uint32_t to,
   frame.from = from;
   frame.to = to;
   frame.seq = seq;
-  Transmit(frame, seq, /*attempt=*/0, CurrentRound(), wire_bytes,
-           &channel.unacked.at(seq).message);
+  Transmit(frame, seq, /*attempt=*/0, CurrentRound(), wire_bytes);
 }
 
 void ReliableTransport::DeliverData(Frame& frame, int round,
@@ -203,20 +125,14 @@ void ReliableTransport::DeliverData(Frame& frame, int round,
       ++stats_.duplicates_suppressed;
       return;
     }
-    // Carrier frames arrive with the payload on the wire; in-process
-    // frames park the sender's custody copy (moved, never copied).
+    // Park the sender's custody copy (moved, never copied).
     channel.resequence.emplace(
-        frame.seq, frame.wire_payload != nullptr
-                       ? std::move(*frame.wire_payload)
-                       : std::move(channel.unacked.at(frame.seq).message));
+        frame.seq, std::move(channel.unacked.at(frame.seq).message));
     ++stats_.out_of_order;
     return;
   }
   // In-sequence: deliver, then flush any now-contiguous parked frames.
-  // In-process the payload moves out of sender custody (zero-copy fast
-  // path); off a carrier it is the wire copy — custody must survive every
-  // retransmission until the ack erases it, since each carrier
-  // transmission re-serializes the payload.
+  // The payload moves out of sender custody (zero-copy fast path).
   uint32_t receiver = frame.to;
   auto deliver = [&](dist::Message message) {
     if (keep_replay_log_) {
@@ -225,43 +141,13 @@ void ReliableTransport::DeliverData(Frame& frame, int round,
     out.push_back(std::move(message));
     ++channel.delivered_cum;
   };
-  deliver(frame.wire_payload != nullptr
-              ? std::move(*frame.wire_payload)
-              : std::move(channel.unacked.at(frame.seq).message));
+  deliver(std::move(channel.unacked.at(frame.seq).message));
   auto it = channel.resequence.begin();
   while (it != channel.resequence.end() &&
          it->first == channel.delivered_cum + 1) {
     deliver(std::move(it->second));
     it = channel.resequence.erase(it);
   }
-}
-
-void ReliableTransport::InjectReceived(uint32_t worker,
-                                       const std::vector<uint8_t>& bytes) {
-  CarrierFrame wire = DecodeCarrierFrame(bytes);
-  if (wire.to != worker) {
-    throw util::WireFormatError(
-        "carrier frame addressed to worker " + std::to_string(wire.to) +
-        " arrived at worker " + std::to_string(worker));
-  }
-  if (wire.from >= num_workers_ || wire.to >= num_workers_) {
-    throw util::WireFormatError("carrier frame worker id out of range");
-  }
-  if (wire.kind == 0 && !wire.has_payload) {
-    throw util::WireFormatError("carrier data frame without a payload");
-  }
-  Frame frame;
-  frame.kind = wire.kind == 0 ? Frame::Kind::kData : Frame::Kind::kAck;
-  frame.from = wire.from;
-  frame.to = wire.to;
-  frame.seq = wire.seq;
-  frame.ready_round = wire.ready_round;
-  frame.demoted = wire.demoted;
-  if (wire.has_payload) {
-    frame.wire_payload =
-        std::make_shared<dist::Message>(std::move(wire.payload));
-  }
-  Enqueue(std::move(frame));
 }
 
 std::vector<dist::Message> ReliableTransport::Drain(uint32_t worker) {
@@ -327,8 +213,7 @@ std::vector<dist::Message> ReliableTransport::Drain(uint32_t worker) {
       frame.seq = seq;
       // Retransmits mature from the next round: the current round's drains
       // may already be past on other threads.
-      Transmit(frame, seq, pending.attempts, round + 1, pending.wire_bytes,
-               &pending.message);
+      Transmit(frame, seq, pending.attempts, round + 1, pending.wire_bytes);
     }
   }
 

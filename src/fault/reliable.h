@@ -24,9 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "dist/message.h"
@@ -39,25 +37,6 @@ struct LoggedDelivery {
   int round = 0;
   dist::Message message;
 };
-
-// A protocol frame as serialized for an external carrier (the socket
-// transport): header plus, for data frames, the whole message payload —
-// over a real wire the receiver cannot read the sender's custody buffer,
-// so every (re)transmission ships the bytes. Exposed for corpus tests.
-struct CarrierFrame {
-  uint8_t kind = 0;  // 0 = data, 1 = ack
-  uint32_t from = 0;
-  uint32_t to = 0;
-  uint64_t seq = 0;
-  int ready_round = 0;
-  bool demoted = false;
-  bool has_payload = false;
-  dist::Message payload;
-};
-
-std::vector<uint8_t> EncodeCarrierFrame(const CarrierFrame& frame);
-// Throws util::WireFormatError on truncated or malformed bytes.
-CarrierFrame DecodeCarrierFrame(const std::vector<uint8_t>& bytes);
 
 class ReliableTransport {
  public:
@@ -78,22 +57,6 @@ class ReliableTransport {
   // provides the RTO parameters either way.
   ReliableTransport(uint32_t num_workers, const FaultPlan& tuning,
                     const FaultInjector* injector, bool keep_replay_log);
-
-  // -------------------------------------------------- external carrier
-  // When a carrier is installed, frames that survive the injector leave
-  // through it as serialized CarrierFrame bytes (payload included)
-  // instead of the in-process queues, and arrive back via InjectReceived
-  // before each Drain. Retransmit, ack, and resequencing logic is
-  // unchanged — the carrier only moves bytes, so it may lose them
-  // (a disconnected socket) and the protocol still converges.
-  using Carrier =
-      std::function<void(uint32_t from, uint32_t to, std::vector<uint8_t>)>;
-  void set_carrier(Carrier carrier) { carrier_ = std::move(carrier); }
-
-  // Feeds one carrier frame received for `worker` back into the protocol
-  // (decoded and queued for the next Drain). Throws util::WireFormatError
-  // on malformed bytes or a frame addressed to a different worker.
-  void InjectReceived(uint32_t worker, const std::vector<uint8_t>& bytes);
 
   // Sender path: assigns the next channel sequence number, buffers the
   // message for retransmission, and enqueues frames through the injector.
@@ -158,9 +121,6 @@ class ReliableTransport {
     uint64_t seq = 0;  // data: channel sequence; ack: cumulative ack
     int ready_round = 0;
     bool demoted = false;  // reorder fault: deliver after the batch
-    // Carrier mode only: the payload as it arrived off the wire. Null for
-    // in-process frames, whose payloads stay in sender custody.
-    std::shared_ptr<dist::Message> wire_payload;
   };
 
   struct Pending {
@@ -188,12 +148,10 @@ class ReliableTransport {
     return RtoRoundsFor(initial_rto_, max_rto_, attempts);
   }
   void Enqueue(Frame frame);
-  // Runs `frame` through the injector and enqueues (or carries) the
-  // surviving copies. `wire_bytes` is the payload size this transmission
-  // accounts for; `payload` (data frames, may be null in-process) is what
-  // an installed carrier serializes alongside the header.
+  // Runs `frame` through the injector and enqueues the surviving copies.
+  // `wire_bytes` is the payload size this transmission accounts for.
   void Transmit(Frame frame, uint64_t fate_seq, uint32_t attempt, int round,
-                size_t wire_bytes, const dist::Message* payload = nullptr);
+                size_t wire_bytes);
   void DeliverData(Frame& frame, int round, std::vector<dist::Message>& out);
 
   uint32_t num_workers_;
@@ -201,7 +159,6 @@ class ReliableTransport {
   int max_rto_;
   const FaultInjector* injector_;
   bool keep_replay_log_;
-  Carrier carrier_;
 
   std::vector<std::vector<Frame>> queues_;  // per receiving worker
   std::vector<Channel> channels_;           // from * n + to

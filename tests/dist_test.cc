@@ -1,5 +1,6 @@
-// Distributed-framework tests: sidecar routing and byte accounting, shadow
-// nodes, worker phase mechanics — and the system's central invariant:
+// Distributed-framework tests: sidecar routing and byte accounting in both
+// delivery modes, the message codecs' truncation corpus, shadow nodes,
+// worker phase mechanics — and the system's central invariant:
 // S2's distributed verification produces results identical to the
 // monolithic baseline for every partition scheme, worker count, and shard
 // count (paper §5.3: "they output the same set of RIBs").
@@ -8,12 +9,17 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/mono.h"
 #include "core/s2.h"
+#include "cp/route.h"
+#include "dist/message.h"
+#include "dist/sidecar.h"
 #include "test_networks.h"
 #include "topo/dcn.h"
 #include "topo/fattree.h"
@@ -243,6 +249,220 @@ TEST(SidecarFabricStressTest, SeededFaultsReplayDeterministically) {
                       s.reordered, s.duplicates_suppressed, s.out_of_order);
   };
   EXPECT_EQ(run(), run());
+}
+
+// ------------------------------------------------ fabric semantics fixes
+
+Message MakeMessage(topo::NodeId to, topo::NodeId from,
+                    std::vector<uint8_t> payload) {
+  Message message;
+  message.type = MessageType::kRouteUpdates;
+  message.to_node = to;
+  message.from_node = from;
+  message.payload = std::move(payload);
+  return message;
+}
+
+TEST(SidecarFabricModeTest, ReliableHighWaterResetsWithCounters) {
+  SidecarFabric fabric(2, {0, 1});
+  fabric.EnableReliableDelivery(fault::FaultPlan{}, nullptr, false);
+  fabric.Send(0, MakeMessage(1, 0, {1, 2, 3}));
+  EXPECT_GE(fabric.max_queue_depth(1), 1u);
+  fabric.Drain(1);
+  EXPECT_GE(fabric.max_queue_depth(1), 1u);  // survives the drain
+  fabric.ResetCounters();
+  // Used to fail: ResetCounters cleared only the direct-mode marks while
+  // the reliable envelope's high-water survived.
+  EXPECT_EQ(fabric.max_queue_depth(1), 0u);
+  EXPECT_EQ(fabric.total_bytes(), 0u);
+}
+
+TEST(SidecarFabricModeTest, EnableReliableDeliveryMigratesQueuedMessages) {
+  SidecarFabric fabric(2, {0, 1});
+  fabric.Send(0, MakeMessage(1, 0, {0x0A}));
+  fabric.Send(0, MakeMessage(1, 0, {0x0B}));
+  // Used to fail: switching modes stranded the two direct-mode queued
+  // messages in the old queues forever.
+  fabric.EnableReliableDelivery(fault::FaultPlan{}, nullptr, false);
+  EXPECT_TRUE(fabric.HasPending());
+  std::vector<Message> got = fabric.Drain(1);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].payload, (std::vector<uint8_t>{0x0A}));
+  EXPECT_EQ(got[1].payload, (std::vector<uint8_t>{0x0B}));
+  EXPECT_FALSE(fabric.HasPending());
+}
+
+// --------------------------------------------------- truncation corpus
+
+// Every deserializer a fabric message passes through on a process-mode
+// worker's control channel must throw util::WireFormatError on a frame
+// truncated at every possible byte — and on length fields pointing past
+// the end — never crash or mis-parse.
+class TruncationCorpusTest : public ::testing::Test {
+ protected:
+  static std::vector<std::vector<uint8_t>> MessageCorpus() {
+    std::vector<std::vector<uint8_t>> corpus;
+    {
+      Message message = MakeMessage(7, 3, {1, 2, 3, 4, 5});
+      std::vector<uint8_t> bytes;
+      EncodeMessage(message, bytes);
+      corpus.push_back(std::move(bytes));
+    }
+    {
+      Message message;
+      message.type = MessageType::kSymbolicPacket;
+      message.to_node = 9;
+      message.from_node = 2;
+      message.packet_src = 1;
+      message.packet_hops = 4;
+      message.packet_path = {1, 5, 9};
+      message.payload = std::vector<uint8_t>(33, 0xEE);
+      std::vector<uint8_t> bytes;
+      EncodeMessage(message, bytes);
+      corpus.push_back(std::move(bytes));
+    }
+    {
+      Message message;
+      message.type = MessageType::kPacketBatch;
+      message.to_node = 4;
+      std::vector<dp::WirePacket> frames(2);
+      frames[0].at = 4;
+      frames[0].from = 3;
+      frames[0].src = 0;
+      frames[0].hops = 2;
+      frames[0].set = {9, 9, 9, 9};
+      frames[1].at = 4;
+      frames[1].from = 5;
+      frames[1].src = 1;
+      frames[1].hops = 3;
+      frames[1].path = {1, 2, 5};
+      frames[1].set = {7};
+      EncodePacketBatch(frames, message.payload);
+      std::vector<uint8_t> bytes;
+      EncodeMessage(message, bytes);
+      corpus.push_back(std::move(bytes));
+    }
+    {
+      // Route batch with the address-family byte in both encodings: a
+      // v4-only payload (compact, leads with kAfV4) and a mixed-family
+      // payload (generic, kAfV6 with per-entry family bytes).
+      for (bool mixed : {false, true}) {
+        cp::AttrPool pool;
+        std::vector<cp::RouteUpdate> updates;
+        cp::Route v4;
+        v4.prefix = util::MustParsePrefix("10.1.0.0/24");
+        v4.origin_node = 1;
+        updates.push_back(cp::RouteUpdate{v4.prefix, false, v4});
+        if (mixed) {
+          cp::Route v6;
+          v6.prefix = util::MustParsePrefix("2001:db8::/48");
+          v6.origin_node = 2;
+          updates.push_back(cp::RouteUpdate{v6.prefix, false, v6});
+        }
+        Message message = MakeMessage(3, 1, {});
+        cp::SerializeRoutes(updates, message.payload);
+        std::vector<uint8_t> bytes;
+        EncodeMessage(message, bytes);
+        corpus.push_back(std::move(bytes));
+      }
+    }
+    return corpus;
+  }
+};
+
+// A route-batch frame survives framing intact, its payload decodes with
+// the address-family byte honored, and an unknown family value in the
+// payload surfaces as util::WireFormatError after message decode — the
+// exact path a corrupted sidecar frame would take.
+TEST_F(TruncationCorpusTest, RouteBatchPayloadRejectsUnknownFamily) {
+  cp::AttrPool pool;
+  std::vector<cp::RouteUpdate> updates;
+  cp::Route v6;
+  v6.prefix = util::MustParsePrefix("2001:db8::/48");
+  v6.origin_node = 2;
+  updates.push_back(cp::RouteUpdate{v6.prefix, false, v6});
+  Message message = MakeMessage(3, 1, {});
+  cp::SerializeRoutes(updates, message.payload);
+  std::vector<uint8_t> frame;
+  EncodeMessage(message, frame);
+
+  Message decoded = DecodeMessage(frame);
+  ASSERT_EQ(cp::DeserializeRoutes(decoded.payload, pool).size(), 1u);
+
+  // Sweep every payload byte with an unknown-family value: decode must
+  // error or stay sane, and the AF byte's offset must report it.
+  int unknown_family = 0;
+  for (size_t pos = 0; pos < decoded.payload.size(); ++pos) {
+    Message corrupt = decoded;
+    if (corrupt.payload[pos] == 0xEE) continue;
+    corrupt.payload[pos] = 0xEE;
+    try {
+      cp::DeserializeRoutes(corrupt.payload, pool);
+    } catch (const util::WireFormatError& e) {
+      if (std::string(e.what()).find("unknown address family") !=
+          std::string::npos) {
+        ++unknown_family;
+      }
+    }
+  }
+  EXPECT_GE(unknown_family, 1);
+}
+
+TEST_F(TruncationCorpusTest, MessageTruncatedAtEveryByteThrows) {
+  for (const std::vector<uint8_t>& frame : MessageCorpus()) {
+    // The full frame decodes.
+    EXPECT_NO_THROW(DecodeMessage(frame));
+    for (size_t cut = 0; cut < frame.size(); ++cut) {
+      std::vector<uint8_t> truncated(frame.begin(),
+                                     frame.begin() + static_cast<ptrdiff_t>(cut));
+      EXPECT_THROW(DecodeMessage(truncated), util::WireFormatError)
+          << "cut at byte " << cut << " of " << frame.size();
+    }
+    // Trailing garbage is also malformed, not silently ignored.
+    std::vector<uint8_t> padded = frame;
+    padded.push_back(0);
+    EXPECT_THROW(DecodeMessage(padded), util::WireFormatError);
+  }
+}
+
+TEST_F(TruncationCorpusTest, PacketBatchTruncatedAtEveryByteThrows) {
+  std::vector<dp::WirePacket> frames(2);
+  frames[0].at = 1;
+  frames[0].set = {1, 2, 3};
+  frames[1].at = 2;
+  frames[1].path = {7, 8};
+  frames[1].set = {4};
+  std::vector<uint8_t> payload;
+  EncodePacketBatch(frames, payload);
+  EXPECT_NO_THROW(DecodePacketBatch(payload));
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    std::vector<uint8_t> truncated(
+        payload.begin(), payload.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_THROW(DecodePacketBatch(truncated), util::WireFormatError)
+        << "cut at byte " << cut << " of " << payload.size();
+  }
+}
+
+TEST_F(TruncationCorpusTest, LengthFieldsBeyondStreamThrow) {
+  // A message whose payload length field claims more than remains.
+  Message message = MakeMessage(1, 0, {1, 2, 3, 4});
+  std::vector<uint8_t> bytes;
+  EncodeMessage(message, bytes);
+  // payload_len is the u32 right before the 4 payload bytes.
+  size_t len_at = bytes.size() - 4 - 4;
+  bytes[len_at] = 0xFF;
+  bytes[len_at + 1] = 0xFF;
+  EXPECT_THROW(DecodeMessage(bytes), util::WireFormatError);
+
+  // A path length field that would read past the end.
+  Message pathy;
+  pathy.type = MessageType::kSymbolicPacket;
+  pathy.to_node = 1;
+  pathy.packet_path = {1, 2};
+  std::vector<uint8_t> pathy_bytes;
+  EncodeMessage(pathy, pathy_bytes);
+  pathy_bytes[17] = 0xFF;  // path_len lives after type + 4 u32 fields
+  EXPECT_THROW(DecodeMessage(pathy_bytes), util::WireFormatError);
 }
 
 TEST(DistResourceTest, PerWorkerBddTableOverflowIsAVerdict) {
