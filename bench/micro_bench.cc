@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot substrate operations
 // underneath the figure harnesses: BDD apply/serialize, unique-table churn
-// and GC sweeps, route serialization, route-map evaluation, best-path
-// selection, the partitioner, and config parsing.
+// and GC sweeps, route serialization, the sidecar route exchange,
+// route-map evaluation, best-path selection, the partitioner, and config
+// parsing.
 #include <benchmark/benchmark.h>
 
 #include "bdd/bdd_io.h"
@@ -10,6 +11,8 @@
 #include "cp/engine.h"
 #include "cp/policy.h"
 #include "cp/rib.h"
+#include "cp/shard.h"
+#include "dist/worker.h"
 #include "dp/fib.h"
 #include "dp/packet.h"
 #include "dp/predicates.h"
@@ -184,6 +187,69 @@ void BM_RouteSerializeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RouteSerializeBatch)->Arg(64)->Arg(1024);
+
+// The largest route batch worker 0 sends worker 1 while four workers
+// (METIS-like partition) converge shard 0 of a 20-shard FatTree k=12
+// plan — the setup of perfbench's fattree_verify.
+const std::vector<dist::RouteSection>& BenchRouteExchangeBatch() {
+  static const auto* batch = [] {
+    topo::FatTreeParams params;
+    params.k = 12;
+    config::ParsedNetwork network = config::ParseNetwork(
+        config::SynthesizeConfigs(topo::MakeFatTree(params)));
+    const uint32_t num_workers = 4;
+    dist::SidecarFabric fabric(
+        num_workers, topo::Partition(network.graph, num_workers,
+                                     topo::PartitionScheme::kMetisLike)
+                         .assignment);
+    cp::ShardPlan plan = cp::BuildShardPlan(network, 20);
+    std::vector<std::unique_ptr<dist::Worker>> workers;
+    for (uint32_t w = 0; w < num_workers; ++w) {
+      workers.push_back(std::make_unique<dist::Worker>(
+          w, network, &fabric, dist::Worker::Options{}));
+      workers.back()->BeginBgp(&plan.shard(0));
+    }
+    std::vector<uint8_t> largest;
+    for (;;) {
+      bool any = false;
+      for (auto& worker : workers) any = worker->ComputeAndShip() || any;
+      if (!any) break;
+      // Look at worker 1's inbound batches, then queue them again.
+      for (dist::Message& message : fabric.Drain(1)) {
+        uint32_t from = fabric.WorkerOf(message.from_node);
+        if (from == 0 && message.payload.size() > largest.size()) {
+          largest = message.payload;
+        }
+        fabric.Send(from, std::move(message));
+      }
+      for (auto& worker : workers) worker->Deliver();
+    }
+    return new std::vector<dist::RouteSection>(
+        dist::DecodeRouteBatch(largest, BenchPool()));
+  }();
+  return *batch;
+}
+
+// One worker-pair route batch: encode (attribute table + sections) and
+// decode (re-interning each distinct tuple once).
+void BM_RouteExchange(benchmark::State& state) {
+  const std::vector<dist::RouteSection>& sections = BenchRouteExchangeBatch();
+  cp::AttrPool receiver;
+  size_t routes = 0, bytes = 0;
+  for (const dist::RouteSection& section : sections) {
+    routes += section.updates.size();
+  }
+  for (auto _ : state) {
+    std::vector<uint8_t> payload;
+    dist::EncodeRouteBatch(sections, payload);
+    bytes = payload.size();
+    benchmark::DoNotOptimize(dist::DecodeRouteBatch(payload, receiver));
+  }
+  state.counters["sections"] = static_cast<double>(sections.size());
+  state.counters["payload_bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(routes));
+}
+BENCHMARK(BM_RouteExchange)->Unit(benchmark::kMicrosecond);
 
 void BM_RouteMapEvaluation(benchmark::State& state) {
   config::RouteMap map;

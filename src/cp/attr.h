@@ -16,9 +16,7 @@
 // MemoryTracker the full tuple bytes once per distinct live tuple
 // (AttrTuple::SharedBytes, on first intern), every Route copy is charged
 // only its fixed footprint (Route::UniqueBytes), and the tuple bytes are
-// released when the last handle drops. The pool also keeps the
-// pre-flyweight ("plain") accounting as shadow counters so benchmarks can
-// report the reduction without re-running old code (DESIGN.md §4).
+// released when the last handle drops (DESIGN.md §4).
 //
 // Thread safety: handle copy is an atomic increment and non-final
 // releases are an atomic CAS decrement; the decrement that could hit
@@ -154,7 +152,7 @@ class AttrPool {
     size_t peak_entries = 0;
     size_t shared_bytes = 0;  // live interned tuple bytes
     size_t peak_shared_bytes = 0;
-    // Wire attribute-table effect (SerializeRoutes batches).
+    // Wire attribute-table effect (sidecar route batches and spills).
     uint64_t wire_tuples_written = 0;
     uint64_t wire_tuples_reused = 0;
     uint64_t wire_bytes_saved = 0;

@@ -39,7 +39,7 @@ std::optional<Route> TransformForExport(const Route& best,
   return route;
 }
 
-std::optional<Route> ProcessImport(const Route& received,
+std::optional<Route> ProcessImport(Route received,
                                    const config::ViConfig& config,
                                    const config::BgpNeighbor& session,
                                    topo::NodeId from, AttrPool& pool) {
@@ -52,13 +52,12 @@ std::optional<Route> ProcessImport(const Route& received,
   PolicyEval eval = EvalRouteMap(config.FindRouteMap(session.import_route_map),
                                  received, config.bgp.asn);
   if (!eval.accepted) return std::nullopt;
-  Route route = received;
   if (eval.attrs_modified) {
-    route.attrs = pool.Intern(std::move(eval.tuple));
+    received.attrs = pool.Intern(std::move(eval.tuple));
   }
-  route.learned_from = from;
-  route.protocol = Protocol::kBgp;
-  return route;
+  received.learned_from = from;
+  received.protocol = Protocol::kBgp;
+  return received;
 }
 
 bool SuppressedByAggregate(const util::IpPrefix& prefix,

@@ -18,7 +18,9 @@ namespace s2::cp {
 // with the exporter's vendor semantics, and eBGP attribute scrubbing
 // (LOCAL_PREF is not transmitted across eBGP). The transformed attribute
 // tuple is interned into `pool` (the exporting domain's) — once, after
-// every edit is applied.
+// every edit is applied. Of `session` it reads only export_route_map and
+// remove_private_as: sessions equal in both form one export class, and
+// cp::Node transforms a route once per class, not once per session.
 std::optional<Route> TransformForExport(const Route& best,
                                         const config::ViConfig& config,
                                         const config::BgpNeighbor& session,
@@ -27,10 +29,10 @@ std::optional<Route> TransformForExport(const Route& best,
 // Processes a route received from `session` on the importing device
 // `config`. Returns nullopt when rejected (AS-path loop or import policy
 // deny) — which callers must treat as a withdrawal of any previous
-// candidate from that neighbor. `from` is the sending device. With no
-// import policy edits the received route's interned handle is reused
-// without touching `pool`.
-std::optional<Route> ProcessImport(const Route& received,
+// candidate from that neighbor. `from` is the sending device. The
+// received route is moved into the result; with no import policy edits
+// its interned handle is reused without touching `pool`.
+std::optional<Route> ProcessImport(Route received,
                                    const config::ViConfig& config,
                                    const config::BgpNeighbor& session,
                                    topo::NodeId from, AttrPool& pool);

@@ -31,7 +31,9 @@ int MonoEngine::RunRounds() {
       for (const Node::Session& session : node->sessions()) {
         std::vector<RouteUpdate> updates =
             nodes_[session.peer]->TakeUpdatesFor(node->id());
-        if (!updates.empty()) node->ReceiveUpdates(session.peer, updates);
+        if (!updates.empty()) {
+          node->ReceiveUpdates(session.peer, std::move(updates));
+        }
       }
     }
     double round_seconds = round_watch.ElapsedSeconds();

@@ -1,5 +1,9 @@
 #include "cp/node.h"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "cp/ospf.h"
 #include "util/status.h"
 
@@ -12,13 +16,21 @@ Node::Node(topo::NodeId id, const config::ParsedNetwork& network,
       tracker_(tracker),
       pool_(pool),
       rib_(tracker) {
+  std::map<std::pair<std::string, bool>, size_t> classes;
   for (const config::BgpNeighbor& neighbor : config().bgp.neighbors) {
     Session session;
     session.neighbor = &neighbor;
     session.peer = network.FindByAddress(neighbor.peer_address);
     if (session.peer == topo::kInvalidNode) continue;  // dangling neighbor
+    session.export_class =
+        classes
+            .try_emplace({neighbor.export_route_map,
+                          neighbor.remove_private_as},
+                         classes.size())
+            .first->second;
     sessions_.push_back(session);
   }
+  export_classes_ = classes.size();
 }
 
 void Node::BeginOspf() {
@@ -136,37 +148,43 @@ bool Node::ComputeRound() {
       rib_.RecomputeDirty(config().bgp.max_paths);
   if (changed.empty()) return false;
 
-  bool produced = false;
+  // The prefix's export per class, made on first use; a rejected export
+  // stays a withdrawal.
+  std::vector<RouteUpdate> exports(pass_ == Pass::kBgp ? export_classes_ : 1);
+  std::vector<char> made(exports.size());
   for (const util::IpPrefix& prefix : changed) {
     const std::vector<Route>* best = rib_.Best(prefix);
+    const Route* top = best != nullptr ? &best->front() : nullptr;
+    if (top != nullptr && pass_ == Pass::kBgp &&
+        SuppressedByAggregate(prefix, config())) {
+      top = nullptr;
+    }
+    std::fill(made.begin(), made.end(), 0);
     for (const Session& session : sessions_) {
-      RouteUpdate update;
-      update.prefix = prefix;
-      update.withdraw = true;
-      if (best != nullptr) {
-        const Route& top = best->front();
-        bool suppressed = pass_ == Pass::kBgp &&
-                          SuppressedByAggregate(prefix, config());
-        bool split_horizon = top.learned_from == session.peer;
-        if (!suppressed && !split_horizon) {
-          if (pass_ == Pass::kBgp) {
-            auto exported =
-                TransformForExport(top, config(), *session.neighbor, *pool_);
-            if (exported) {
-              update.withdraw = false;
-              update.route = std::move(*exported);
-            }
-          } else {
-            update.withdraw = false;
-            update.route = OspfExport(top);
-          }
+      // No best route, or one an aggregate suppresses, is a withdrawal;
+      // so is a route back to the peer it came from (split horizon).
+      if (top == nullptr || top->learned_from == session.peer) {
+        outbox_[session.peer].push_back(RouteUpdate{prefix, true, Route{}});
+        continue;
+      }
+      size_t cls = pass_ == Pass::kBgp ? session.export_class : 0;
+      RouteUpdate& exported = exports[cls];
+      if (!made[cls]) {
+        made[cls] = 1;
+        exported = RouteUpdate{prefix, true, Route{}};
+        if (pass_ == Pass::kOspf) {
+          exported.withdraw = false;
+          exported.route = OspfExport(*top);
+        } else if (auto route = TransformForExport(
+                       *top, config(), *session.neighbor, *pool_)) {
+          exported.withdraw = false;
+          exported.route = std::move(*route);
         }
       }
-      outbox_[session.peer].push_back(std::move(update));
-      produced = true;
+      outbox_[session.peer].push_back(exported);
     }
   }
-  return produced;
+  return !sessions_.empty();
 }
 
 std::vector<RouteUpdate> Node::TakeUpdatesFor(topo::NodeId neighbor) {
@@ -178,7 +196,7 @@ std::vector<RouteUpdate> Node::TakeUpdatesFor(topo::NodeId neighbor) {
 }
 
 void Node::ReceiveUpdates(topo::NodeId from,
-                          const std::vector<RouteUpdate>& updates) {
+                          std::vector<RouteUpdate> updates) {
   const config::BgpNeighbor* session = nullptr;
   if (pass_ == Pass::kBgp) {
     for (const Session& s : sessions_) {
@@ -186,25 +204,24 @@ void Node::ReceiveUpdates(topo::NodeId from,
     }
     if (session == nullptr) return;  // not a neighbor of ours
   }
-  for (const RouteUpdate& update : updates) {
+  for (RouteUpdate& update : updates) {
     if (update.withdraw) {
       rib_.Withdraw(from, update.prefix);
       continue;
     }
     if (pass_ == Pass::kBgp) {
-      auto imported =
-          ProcessImport(update.route, config(), *session, from, *pool_);
+      auto imported = ProcessImport(std::move(update.route), config(),
+                                    *session, from, *pool_);
       if (imported) {
-        rib_.Upsert(from, *imported);
+        rib_.Upsert(from, std::move(*imported));
       } else {
         // A rejected announcement implicitly withdraws any previous
         // candidate from this neighbor.
         rib_.Withdraw(from, update.prefix);
       }
     } else {
-      Route route = update.route;
-      route.learned_from = from;
-      rib_.Upsert(from, route);
+      update.route.learned_from = from;
+      rib_.Upsert(from, std::move(update.route));
     }
   }
 }

@@ -46,12 +46,18 @@ class Node {
   topo::NodeId id() const { return id_; }
   const config::ViConfig& config() const { return network_->configs[id_]; }
 
-  // A resolved BGP session: the config entry plus the peer's device id.
+  // A resolved BGP session: the config entry plus the peer's device id,
+  // and its export class — sessions whose export_route_map and
+  // remove_private_as are equal (the only session fields
+  // TransformForExport reads) share one class, numbered from 0 in order
+  // of first appearance.
   struct Session {
     const config::BgpNeighbor* neighbor = nullptr;
     topo::NodeId peer = topo::kInvalidNode;
+    size_t export_class = 0;
   };
   const std::vector<Session>& sessions() const { return sessions_; }
+  size_t export_classes() const { return export_classes_; }
 
   // ------------------------------------------------------------ lifecycle
   enum class Pass { kIdle, kOspf, kBgp };
@@ -77,15 +83,18 @@ class Node {
 
   // ----------------------------------------------------------- the round
   // Phase A. Returns true if any update was produced (the node has not
-  // yet converged this round).
+  // yet converged this round). Each changed prefix's best route is
+  // exported once per export class (once in total in the OSPF pass), on
+  // first use by a session that split horizon does not exclude, and that
+  // result is copied to every session of the class.
   bool ComputeRound();
 
   // Phase B pull interface: drains updates addressed to `neighbor`.
   std::vector<RouteUpdate> TakeUpdatesFor(topo::NodeId neighbor);
 
-  // Phase B merge of updates pulled from `from`.
-  void ReceiveUpdates(topo::NodeId from, const std::vector<RouteUpdate>&
-                                             updates);
+  // Phase B merge of updates pulled from `from`; the routes are moved
+  // into the RIB.
+  void ReceiveUpdates(topo::NodeId from, std::vector<RouteUpdate> updates);
 
   // ------------------------------------------------------------- results
   // OSPF best routes (after FinishOspf).
@@ -125,6 +134,7 @@ class Node {
   util::MemoryTracker* tracker_;
   AttrPool* pool_;
   std::vector<Session> sessions_;
+  size_t export_classes_ = 0;
 
   Pass pass_ = Pass::kIdle;
   const PrefixSet* shard_ = nullptr;

@@ -23,7 +23,7 @@ void Rib::ReleaseRoute(const Route& route) {
   if (tracker_) tracker_->Release(route.UniqueBytes());
 }
 
-void Rib::Upsert(topo::NodeId from, const Route& route) {
+void Rib::Upsert(topo::NodeId from, Route route) {
   auto& per_neighbor = candidates_[route.prefix];
   auto it = per_neighbor.find(from);
   if (it != per_neighbor.end() && it->second == route) return;  // unchanged
@@ -31,14 +31,14 @@ void Rib::Upsert(topo::NodeId from, const Route& route) {
   // and the accounting consistent, or Clear() releases bytes that were
   // never charged (caught by the assertions CI leg).
   ChargeRoute(route);
+  dirty_.insert(route.prefix);
   if (it != per_neighbor.end()) {
     ReleaseRoute(it->second);
-    it->second = route;
+    it->second = std::move(route);
   } else {
-    per_neighbor.emplace(from, route);
+    per_neighbor.emplace(from, std::move(route));
     ++candidate_count_;
   }
-  dirty_.insert(route.prefix);
 }
 
 void Rib::Withdraw(topo::NodeId from, const util::IpPrefix& prefix) {

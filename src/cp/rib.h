@@ -36,9 +36,10 @@ class Rib {
   Rib(const Rib&) = delete;
   Rib& operator=(const Rib&) = delete;
 
-  // Inserts/replaces the candidate from `from` for route.prefix. Marks the
-  // prefix dirty if the candidate actually changed.
-  void Upsert(topo::NodeId from, const Route& route);
+  // Inserts/replaces the candidate from `from` for route.prefix, moving
+  // `route` into the table. Marks the prefix dirty if the candidate
+  // actually changed.
+  void Upsert(topo::NodeId from, Route route);
 
   // Removes the candidate from `from` for `prefix` (no-op if absent).
   void Withdraw(topo::NodeId from, const util::IpPrefix& prefix);

@@ -58,10 +58,10 @@ bool EcmpEquivalent(const Route& a, const Route& b) {
 }
 
 void PutWireU32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
+  const uint8_t bytes[4] = {
+      static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8),
+      static_cast<uint8_t>(v >> 16), static_cast<uint8_t>(v >> 24)};
+  out.insert(out.end(), bytes, bytes + 4);
 }
 
 uint32_t GetWireU32(const std::vector<uint8_t>& in, size_t& pos) {
@@ -299,6 +299,13 @@ size_t AttrTableBuilder::table_bytes() const {
   return bytes;
 }
 
+void AttrTableBuilder::CreditWireSavings(AttrPool& pool) const {
+  size_t references = distinct() + reused();
+  size_t packed = table_bytes() + 4 * references;
+  pool.NoteWireSavings(distinct(), reused(),
+                       inline_bytes_ > packed ? inline_bytes_ - packed : 0);
+}
+
 AttrTable AttrTable::Read(const std::vector<uint8_t>& bytes, size_t& pos,
                           AttrPool& pool) {
   uint32_t count = GetU32(bytes, pos);
@@ -338,14 +345,7 @@ void SerializeRoutes(const std::vector<RouteUpdate>& updates,
   PutRoutesBody(body, updates, table);
   table.Serialize(out);
   out.insert(out.end(), body.begin(), body.end());
-  if (stats_pool != nullptr) {
-    size_t references = table.distinct() + table.reused();
-    size_t packed = table.table_bytes() + 4 * references;
-    size_t inline_cost = table.inline_bytes();
-    stats_pool->NoteWireSavings(
-        table.distinct(), table.reused(),
-        inline_cost > packed ? inline_cost - packed : 0);
-  }
+  if (stats_pool != nullptr) table.CreditWireSavings(*stats_pool);
 }
 
 std::vector<RouteUpdate> DeserializeRoutes(const std::vector<uint8_t>& bytes,
@@ -358,10 +358,14 @@ std::vector<RouteUpdate> DeserializeRoutes(const std::vector<uint8_t>& bytes,
 void PutRoutesSection(std::vector<uint8_t>& out,
                       const std::vector<RouteUpdate>& updates,
                       AttrTableBuilder& table) {
-  std::vector<uint8_t> chunk;
-  PutRoutesBody(chunk, updates, table);
-  PutWireU32(out, static_cast<uint32_t>(chunk.size()));
-  out.insert(out.end(), chunk.begin(), chunk.end());
+  // Reserve the length field, write the body after it, then patch it.
+  const size_t at = out.size();
+  PutWireU32(out, 0);
+  PutRoutesBody(out, updates, table);
+  const auto len = static_cast<uint32_t>(out.size() - at - 4);
+  for (size_t i = 0; i < 4; ++i) {
+    out[at + i] = static_cast<uint8_t>(len >> (8 * i));
+  }
 }
 
 std::vector<RouteUpdate> GetRoutesSection(const std::vector<uint8_t>& bytes,
@@ -372,10 +376,14 @@ std::vector<RouteUpdate> GetRoutesSection(const std::vector<uint8_t>& bytes,
     throw util::WireFormatError("routes section of " + std::to_string(len) +
                                 " bytes exceeds remaining input");
   }
-  std::vector<uint8_t> chunk(bytes.data() + pos, bytes.data() + pos + len);
-  pos += len;
-  size_t chunk_pos = 0;
-  return GetRoutesBody(chunk, chunk_pos, table);
+  const size_t start = pos;
+  std::vector<RouteUpdate> updates = GetRoutesBody(bytes, pos, table);
+  if (pos - start != len) {
+    throw util::WireFormatError("routes section of " + std::to_string(len) +
+                                " bytes holds " + std::to_string(pos - start) +
+                                " bytes of entries");
+  }
+  return updates;
 }
 
 }  // namespace s2::cp

@@ -114,6 +114,8 @@ struct RouteUpdate {
   util::IpPrefix prefix;
   bool withdraw = false;
   Route route;  // meaningful unless withdraw
+
+  bool operator==(const RouteUpdate&) const = default;
 };
 
 // ------------------------------------------------- per-batch attr tables
@@ -123,9 +125,10 @@ struct RouteUpdate {
 // boundary or hits disk once per batch.
 
 // Collects the distinct tuples of one serialized blob. Composite formats
-// (node checkpoints) share one builder across all their route sections:
-// serialize the sections into a scratch body, then emit the table followed
-// by the body. Referenced routes must outlive the builder.
+// (node checkpoints, sidecar route batches) share one builder across all
+// their route sections: serialize the sections into a scratch body, then
+// emit the table followed by the body. Referenced routes must outlive the
+// builder.
 class AttrTableBuilder {
  public:
   // Index of `route`'s tuple, assigned on first use.
@@ -136,16 +139,21 @@ class AttrTableBuilder {
 
   size_t distinct() const { return tuples_.size(); }
   size_t reused() const { return reused_; }
-  // Wire bytes the inline-per-route encoding would have spent on the
-  // references made so far (vs 4 bytes per reference + the table).
-  size_t inline_bytes() const { return inline_bytes_; }
-  size_t table_bytes() const;
+
+  // Credits `pool`'s attr.wire_* counters with this table's effect: the
+  // distinct tuples written, the references that reused one, and the
+  // bytes saved against the inline-per-route encoding.
+  void CreditWireSavings(AttrPool& pool) const;
 
  private:
+  size_t table_bytes() const;
+
   std::vector<const AttrTuple*> tuples_;
   std::unordered_map<const AttrTuple*, uint32_t> by_identity_;
   std::unordered_map<size_t, std::vector<uint32_t>> by_hash_;
   size_t reused_ = 0;
+  // Wire bytes the inline-per-route encoding would have spent on the
+  // references made so far (vs 4 bytes per reference + the table).
   size_t inline_bytes_ = 0;
 };
 
@@ -165,10 +173,11 @@ class AttrTable {
   std::vector<AttrHandle> handles_;
 };
 
-// Wire format used by sidecars and the RIB store: attribute table first,
-// then the route entries referencing it. Deserialization re-interns into
-// `pool` — the receiving domain's. When `stats_pool` is non-null the
-// serializer credits it with the table's dedup/wire-bytes-saved effect.
+// Wire format of RibStore spills: attribute table first, then the route
+// entries referencing it. Deserialization re-interns into `pool` — the
+// reading domain's. When `stats_pool` is non-null the serializer credits
+// it with the table's dedup/wire-bytes-saved effect. (Sidecar route
+// batches share one table across many sections: dist::EncodeRouteBatch.)
 void SerializeRoutes(const std::vector<RouteUpdate>& updates,
                      std::vector<uint8_t>& out,
                      AttrPool* stats_pool = nullptr);
@@ -193,8 +202,10 @@ inline constexpr uint8_t kAfV4 = static_cast<uint8_t>(util::Family::kV4);
 inline constexpr uint8_t kAfV6 = static_cast<uint8_t>(util::Family::kV6);
 
 // A length-prefixed routes chunk, embeddable in composite formats (node
-// checkpoints) that continue reading past it. The attribute table is the
-// enclosing format's, shared across all its sections.
+// checkpoints, sidecar route batches) that continue reading past it. The
+// attribute table is the enclosing format's, shared across all its
+// sections. The reader parses the chunk in place and throws
+// util::WireFormatError unless the entries end exactly at its length.
 void PutRoutesSection(std::vector<uint8_t>& out,
                       const std::vector<RouteUpdate>& updates,
                       AttrTableBuilder& table);

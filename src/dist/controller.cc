@@ -267,7 +267,9 @@ Controller::MultiQueryOutcome Controller::RunQueries(
 // ------------------------------------------------------- fault tolerance
 
 void Controller::CheckpointWorkers(int shard) {
-  for (uint32_t w = 0; w < handles_.size(); ++w) {
+  // Workers snapshot independently, and in process mode each snapshot is
+  // a control-channel round trip: take them in parallel.
+  pool_->ParallelFor(handles_.size(), [&](size_t w) {
     bool had_data_plane = checkpoints_[w].has_data_plane;
     auto predicates = std::move(checkpoints_[w].predicate_state);
     size_t fib_bytes = checkpoints_[w].fib_bytes;
@@ -278,8 +280,8 @@ void Controller::CheckpointWorkers(int shard) {
     checkpoints_[w].predicate_state = std::move(predicates);
     checkpoints_[w].fib_bytes = fib_bytes;
     checkpoints_[w].fabric_round = fabric_->CurrentRound();
-    fabric_->MarkCheckpoint(w);
-  }
+    fabric_->MarkCheckpoint(static_cast<uint32_t>(w));
+  });
 }
 
 void Controller::RecoverWorker(uint32_t w) {

@@ -54,6 +54,7 @@ RoundMetrics Cpo::RunRounds() {
     // Phase A (barrier): every worker computes its nodes' round and ships
     // outboxes through its sidecar.
     size_t bytes_before = fabric_->total_bytes();
+    size_t messages_before = fabric_->total_messages();
     pool_->ParallelFor(num_workers, [&](size_t w) {
       produced[w] = (*workers_)[w]->ComputeAndShip() ? 1 : 0;
     });
@@ -77,6 +78,7 @@ RoundMetrics Cpo::RunRounds() {
     }
     size_t bytes_after = fabric_->total_bytes();
     metrics.comm_bytes += bytes_after - bytes_before;
+    metrics.comm_messages += fabric_->total_messages() - messages_before;
     metrics.modeled_seconds +=
         busy_a + busy_b +
         double(bytes_after - bytes_before) / double(num_workers) /

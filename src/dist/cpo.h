@@ -30,7 +30,7 @@ struct RoundMetrics {
   double wall_seconds = 0;     // real elapsed time on this machine
   double modeled_seconds = 0;  // Σ_rounds (max_w busy + comm + gc)
   size_t comm_bytes = 0;       // total sidecar traffic
-  size_t comm_messages = 0;
+  size_t comm_messages = 0;    // sidecar messages sent
   // BDD op-cache behavior during the phase, summed across the managers
   // involved (per-worker lanes for distributed phases, the single manager
   // for mono runs). Deltas, not lifetime totals.

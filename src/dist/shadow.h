@@ -4,8 +4,9 @@
 // shadow node exposing the same pull interface as the real node
 // (TakeUpdatesFor). Local nodes pull from neighbors without knowing
 // whether they are real or shadows — the decoupling that lets S2 reuse the
-// switch model unmodified. A shadow's updates materialize when the sidecar
-// delivers the remote real node's exports (serialized route batches).
+// switch model unmodified. A shadow's updates materialize when the worker
+// unpacks a route batch from the sidecar (dist/message.h): each section
+// carries the remote real node's exports to one local node.
 #pragma once
 
 #include <map>
@@ -21,7 +22,8 @@ class ShadowNode {
 
   topo::NodeId id() const { return id_; }
 
-  // Sidecar delivery: updates the remote real node addressed to `local`.
+  // Delivery of one route-batch section: updates the remote real node
+  // addressed to `local`.
   void Deliver(topo::NodeId local, std::vector<cp::RouteUpdate> updates);
 
   // The pull interface local nodes use — identical to cp::Node's.

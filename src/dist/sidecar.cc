@@ -116,6 +116,14 @@ size_t SidecarFabric::total_bytes() const {
   return total;
 }
 
+size_t SidecarFabric::total_messages() const {
+  size_t total = 0;
+  for (const std::atomic<size_t>& m : messages_sent_) {
+    total += m.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 size_t SidecarFabric::max_queue_depth(uint32_t worker) const {
   if (reliable_ != nullptr) {
     std::lock_guard<std::mutex> lock(reliable_mutex_);

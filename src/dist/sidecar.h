@@ -72,6 +72,7 @@ class SidecarFabric {
   size_t bytes_sent_by(uint32_t worker) const;
   size_t messages_sent_by(uint32_t worker) const;
   size_t total_bytes() const;
+  size_t total_messages() const;
 
   // High-water mark of `worker`'s inbound queue. Survives Drain; resets
   // with ResetCounters — in both delivery modes.

@@ -3,6 +3,7 @@
 #include "dist/domain.h"
 #include "dp/fib.h"
 #include "obs/trace.h"
+#include "util/status.h"
 
 namespace s2::dist {
 
@@ -21,12 +22,19 @@ Worker::Worker(uint32_t index, const config::ParsedNetwork& network,
                                                     &attr_pool_));
     }
   }
-  // Shadow every remote switch adjacent to a local one.
+  // Shadow every remote switch adjacent to a local one, and note the
+  // sessions whose peer has no session back: that peer never pulls them.
   for (topo::NodeId id : local_) {
     for (const cp::Node::Session& session : nodes_.at(id)->sessions()) {
       if (!IsLocal(session.peer) && !shadows_.count(session.peer)) {
         shadows_.emplace(session.peer, ShadowNode(session.peer));
       }
+      bool pulled = false;
+      for (const config::BgpNeighbor& back :
+           network.configs[session.peer].bgp.neighbors) {
+        pulled = pulled || network.FindByAddress(back.peer_address) == id;
+      }
+      if (!pulled) one_sided_.insert({id, session.peer});
     }
   }
 }
@@ -54,28 +62,39 @@ bool Worker::ComputeAndShipImpl(bool suppress_remote) {
     any = nodes_.at(id)->ComputeRound() || any;
   }
   // Ship outboxes: local deliveries are buffered for phase B; remote ones
-  // are serialized and sent through the sidecar. During post-crash replay
-  // remote sends are suppressed — they were shipped before the crash and
-  // live on in the surviving sidecar — but outboxes are still drained.
+  // are gathered per destination worker and sent as one route batch each,
+  // in ascending destination order. During post-crash replay remote sends
+  // are suppressed — they were shipped before the crash and live on in
+  // the surviving sidecar — but outboxes are still drained.
+  std::vector<std::vector<RouteSection>> outgoing(fabric_->num_workers());
   for (topo::NodeId id : local_) {
     cp::Node& node = *nodes_.at(id);
     for (const cp::Node::Session& session : node.sessions()) {
       std::vector<cp::RouteUpdate> updates =
           node.TakeUpdatesFor(session.peer);
-      if (updates.empty()) continue;
+      // A one-sided session's updates are never pulled, as in the
+      // monolithic engine, so they are not shipped either.
+      if (updates.empty() || one_sided_.count({id, session.peer}) != 0) {
+        continue;
+      }
       if (IsLocal(session.peer)) {
         auto& box = local_pending_[{session.peer, id}];
         box.insert(box.end(), std::make_move_iterator(updates.begin()),
                    std::make_move_iterator(updates.end()));
       } else if (!suppress_remote) {
-        Message message;
-        message.type = MessageType::kRouteUpdates;
-        message.to_node = session.peer;
-        message.from_node = id;
-        cp::SerializeRoutes(updates, message.payload, &attr_pool_);
-        fabric_->Send(index_, std::move(message));
+        outgoing[fabric_->WorkerOf(session.peer)].push_back(
+            RouteSection{id, session.peer, std::move(updates)});
       }
     }
+  }
+  for (std::vector<RouteSection>& sections : outgoing) {
+    if (sections.empty()) continue;
+    Message message;
+    message.type = MessageType::kRouteUpdates;
+    message.to_node = sections.front().to_node;
+    message.from_node = sections.front().from_node;
+    EncodeRouteBatch(sections, message.payload, &attr_pool_);
+    fabric_->Send(index_, std::move(message));
   }
   last_phase_seconds_ = watch.ElapsedSeconds();
   return any;
@@ -92,9 +111,17 @@ void Worker::DeliverBatch(std::vector<Message> messages) {
     if (message.type != MessageType::kRouteUpdates) continue;
     // Re-intern into this worker's pool: each distinct tuple in the batch
     // crossed the boundary once and costs one intern here.
-    shadows_.at(message.from_node)
-        .Deliver(message.to_node,
-                 cp::DeserializeRoutes(message.payload, attr_pool_));
+    for (RouteSection& section :
+         DecodeRouteBatch(message.payload, attr_pool_)) {
+      auto shadow = shadows_.find(section.from_node);
+      if (shadow == shadows_.end() || nodes_.count(section.to_node) == 0) {
+        throw util::WireFormatError(
+            "route section from node " + std::to_string(section.from_node) +
+            " to node " + std::to_string(section.to_node) +
+            " does not reach worker " + std::to_string(index_));
+      }
+      shadow->second.Deliver(section.to_node, std::move(section.updates));
+    }
   }
   // Every local node pulls from each neighbor, agnostic of whether the
   // neighbor is a real node (same worker) or a shadow (paper Alg. 1).
@@ -111,7 +138,9 @@ void Worker::DeliverBatch(std::vector<Message> messages) {
       } else {
         updates = shadows_.at(session.peer).TakeUpdatesFor(id);
       }
-      if (!updates.empty()) node.ReceiveUpdates(session.peer, updates);
+      if (!updates.empty()) {
+        node.ReceiveUpdates(session.peer, std::move(updates));
+      }
     }
   }
 }

@@ -4,7 +4,8 @@
 // Control plane: real cp::Node objects for assigned switches, ShadowNodes
 // for remote neighbors; synchronous phases driven by the CPO with all
 // cross-worker traffic flowing through the sidecar fabric as serialized
-// bytes.
+// bytes — one kRouteUpdates batch per destination worker per round,
+// carrying every remote session's updates under one attribute table.
 //
 // Data plane: one private BDD domain (manager + ForwardingEngine) per
 // worker. Symbolic packets crossing workers are serialized with bdd_io and
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -57,12 +59,16 @@ class Worker {
   void BeginBgp(const cp::PrefixSet* shard);
 
   // Phase A: one ComputeRound per local node, then ship every outbox entry
-  // (local ones are buffered, remote ones serialized through the sidecar).
+  // (local ones are buffered; remote ones are gathered into one route
+  // batch per destination worker, sent in ascending destination order).
   // Returns true if any node produced updates.
   bool ComputeAndShip();
 
-  // Phase B: drain the sidecar into shadow nodes, then let every local
-  // node pull from each neighbor — real or shadow — identically.
+  // Phase B: drain the sidecar and hand each route-batch section to its
+  // shadow node, then let every local node pull from each neighbor — real
+  // or shadow — identically. A section whose from_node is not one of this
+  // worker's shadows, or whose to_node is not local, raises
+  // util::WireFormatError.
   void Deliver();
 
   void SpillBgp(cp::RibStore& store, int shard);
@@ -203,6 +209,9 @@ class Worker {
   std::vector<topo::NodeId> local_;
   std::unordered_map<topo::NodeId, std::unique_ptr<cp::Node>> nodes_;
   std::unordered_map<topo::NodeId, ShadowNode> shadows_;
+  // (local node, peer) sessions whose peer has no session back to the
+  // node; ComputeAndShip drops their updates.
+  std::set<std::pair<topo::NodeId, topo::NodeId>> one_sided_;
   // Buffered same-worker deliveries of the current round: (to, from).
   std::map<std::pair<topo::NodeId, topo::NodeId>,
            std::vector<cp::RouteUpdate>>

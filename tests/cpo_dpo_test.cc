@@ -3,7 +3,9 @@
 // gather path — the pieces the end-to-end suites exercise only indirectly.
 #include <gtest/gtest.h>
 
+#include "core/report.h"
 #include "dist/controller.h"
+#include "obs/registry.h"
 #include "test_networks.h"
 #include "topo/fattree.h"
 
@@ -100,6 +102,30 @@ TEST(CpoTest, TotalBestRoutesMatchesStoreOrNodes) {
   }
   EXPECT_EQ(sharded_total, unsharded_total);
   EXPECT_GT(sharded_total, 0u);
+}
+
+// Route exchange is batched per worker pair: every worker sends at most
+// one message to each other worker per round, and the control plane's
+// message count is what the fabric counted — also in the RunReport.
+TEST(CpoTest, CommMessagesCountOneBatchPerWorkerPairPerRound) {
+  auto net = FatTree4();
+  for (int shards : {0, 3}) {
+    ControllerOptions options;
+    options.num_workers = 4;
+    options.num_shards = shards;
+    Controller controller(net, options);
+    controller.Setup();
+    RoundMetrics metrics = controller.RunControlPlane();
+    const size_t workers = options.num_workers;
+    EXPECT_EQ(metrics.comm_messages, controller.fabric().total_messages());
+    EXPECT_GT(metrics.comm_messages, 0u);
+    EXPECT_LE(metrics.comm_messages,
+              size_t(metrics.rounds) * workers * (workers - 1));
+    obs::Registry registry;
+    core::PublishRoundMetrics("cp", metrics, registry);
+    EXPECT_EQ(registry.counter("cp.comm_messages"),
+              static_cast<int64_t>(metrics.comm_messages));
+  }
 }
 
 TEST(DpoTest, GatherMovesFinalsToTheControllerDomain) {

@@ -344,29 +344,34 @@ class TruncationCorpusTest : public ::testing::Test {
     }
     {
       // Route batch with the address-family byte in both encodings: a
-      // v4-only payload (compact, leads with kAfV4) and a mixed-family
-      // payload (generic, kAfV6 with per-entry family bytes).
-      for (bool mixed : {false, true}) {
-        cp::AttrPool pool;
-        std::vector<cp::RouteUpdate> updates;
-        cp::Route v4;
-        v4.prefix = util::MustParsePrefix("10.1.0.0/24");
-        v4.origin_node = 1;
-        updates.push_back(cp::RouteUpdate{v4.prefix, false, v4});
-        if (mixed) {
-          cp::Route v6;
-          v6.prefix = util::MustParsePrefix("2001:db8::/48");
-          v6.origin_node = 2;
-          updates.push_back(cp::RouteUpdate{v6.prefix, false, v6});
-        }
-        Message message = MakeMessage(3, 1, {});
-        cp::SerializeRoutes(updates, message.payload);
-        std::vector<uint8_t> bytes;
-        EncodeMessage(message, bytes);
-        corpus.push_back(std::move(bytes));
-      }
+      // v4-only section (compact, leads with kAfV4) and a mixed-family
+      // section (generic, kAfV6 with per-entry family bytes).
+      Message message = MakeMessage(3, 1, {});
+      EncodeRouteBatch(
+          {RouteSection{1, 3, RouteBatchUpdates(false)},
+           RouteSection{5, 3, RouteBatchUpdates(true)}},
+          message.payload);
+      std::vector<uint8_t> bytes;
+      EncodeMessage(message, bytes);
+      corpus.push_back(std::move(bytes));
     }
     return corpus;
+  }
+
+  // A v4 announcement, plus a v6 one when `mixed`.
+  static std::vector<cp::RouteUpdate> RouteBatchUpdates(bool mixed) {
+    std::vector<cp::RouteUpdate> updates;
+    cp::Route v4;
+    v4.prefix = util::MustParsePrefix("10.1.0.0/24");
+    v4.origin_node = 1;
+    updates.push_back(cp::RouteUpdate{v4.prefix, false, v4});
+    if (mixed) {
+      cp::Route v6;
+      v6.prefix = util::MustParsePrefix("2001:db8::/48");
+      v6.origin_node = 2;
+      updates.push_back(cp::RouteUpdate{v6.prefix, false, v6});
+    }
+    return updates;
   }
 };
 
@@ -376,18 +381,24 @@ class TruncationCorpusTest : public ::testing::Test {
 // exact path a corrupted sidecar frame would take.
 TEST_F(TruncationCorpusTest, RouteBatchPayloadRejectsUnknownFamily) {
   cp::AttrPool pool;
-  std::vector<cp::RouteUpdate> updates;
   cp::Route v6;
   v6.prefix = util::MustParsePrefix("2001:db8::/48");
   v6.origin_node = 2;
-  updates.push_back(cp::RouteUpdate{v6.prefix, false, v6});
   Message message = MakeMessage(3, 1, {});
-  cp::SerializeRoutes(updates, message.payload);
+  EncodeRouteBatch(
+      {RouteSection{1, 3, {cp::RouteUpdate{v6.prefix, false, v6}}}},
+      message.payload);
   std::vector<uint8_t> frame;
   EncodeMessage(message, frame);
 
   Message decoded = DecodeMessage(frame);
-  ASSERT_EQ(cp::DeserializeRoutes(decoded.payload, pool).size(), 1u);
+  std::vector<RouteSection> sections =
+      DecodeRouteBatch(decoded.payload, pool);
+  ASSERT_EQ(sections.size(), 1u);
+  EXPECT_EQ(sections[0].from_node, 1u);
+  EXPECT_EQ(sections[0].to_node, 3u);
+  ASSERT_EQ(sections[0].updates.size(), 1u);
+  EXPECT_EQ(sections[0].updates[0].route, v6);
 
   // Sweep every payload byte with an unknown-family value: decode must
   // error or stay sane, and the AF byte's offset must report it.
@@ -397,7 +408,7 @@ TEST_F(TruncationCorpusTest, RouteBatchPayloadRejectsUnknownFamily) {
     if (corrupt.payload[pos] == 0xEE) continue;
     corrupt.payload[pos] = 0xEE;
     try {
-      cp::DeserializeRoutes(corrupt.payload, pool);
+      DecodeRouteBatch(corrupt.payload, pool);
     } catch (const util::WireFormatError& e) {
       if (std::string(e.what()).find("unknown address family") !=
           std::string::npos) {
@@ -602,6 +613,55 @@ TEST(DistEquivalenceDcnTest, DcnMatchesMonoAcrossWorkers) {
   }
 }
 
+// A BGP session configured on one side only: the peer never pulls its
+// updates. Across a worker boundary the receiving worker has no shadow
+// for the sender, which used to fail the run; it must match the monolith.
+TEST(DistEquivalenceTest, OneSidedSessionMatchesMono) {
+  topo::FatTreeParams params;
+  params.k = 4;
+  const config::ParsedNetwork fattree =
+      testing::Parse(topo::MakeFatTree(params));
+  for (uint32_t workers : {2u, 4u}) {
+    ControllerOptions options;
+    options.num_workers = workers;
+    // Drop node `a`'s statement for a peer on another worker; the peer
+    // keeps its statement for `a` and exports to it every round.
+    config::ParsedNetwork net = fattree;
+    std::vector<uint32_t> assignment =
+        topo::Partition(net.graph, workers, options.scheme, options.seed)
+            .assignment;
+    bool dropped = false;
+    for (topo::NodeId a = 0; a < net.configs.size() && !dropped; ++a) {
+      auto& neighbors = net.configs[a].bgp.neighbors;
+      for (auto it = neighbors.begin(); it != neighbors.end(); ++it) {
+        topo::NodeId b = net.FindByAddress(it->peer_address);
+        if (b != topo::kInvalidNode && assignment[b] != assignment[a]) {
+          neighbors.erase(it);
+          dropped = true;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(dropped);
+    core::MonoVerifier mono{core::MonoOptions{}};
+    core::VerifyResult base = mono.Verify(net, {});
+    ASSERT_TRUE(base.ok());
+    core::S2Verifier verifier(options);
+    core::VerifyResult result = verifier.Verify(net, {});
+    ASSERT_TRUE(result.ok()) << result.failure_detail;
+    EXPECT_EQ(result.total_best_routes, base.total_best_routes);
+    Controller* controller = verifier.last_controller();
+    for (size_t w = 0; w < controller->num_workers(); ++w) {
+      Worker& worker = controller->worker(w);
+      for (topo::NodeId id : worker.local_nodes()) {
+        EXPECT_EQ(worker.node(id).bgp_routes(),
+                  mono.last_engine()->node(id).bgp_routes())
+            << "node " << id << ", " << workers << " workers";
+      }
+    }
+  }
+}
+
 TEST(DistEquivalenceOspfTest, MixedProtocolsMatchMono) {
   // OSPF underlay + redistribution into BGP, run distributed: the CPO's
   // IGP-before-EGP sequencing must produce the monolithic fixed point.
@@ -672,6 +732,34 @@ TEST(WorkerTest, PhasesExchangeAcrossTheFabric) {
   // Each node ends with all 4 prefixes (2 loopbacks + 2 /24s).
   EXPECT_EQ(w0.node(0).bgp_routes().size(), 4u);
   EXPECT_EQ(w1.node(1).bgp_routes().size(), 4u);
+}
+
+// A route batch is one message per destination worker per round, and a
+// section that names a node the receiving worker neither shadows (from)
+// nor hosts (to) is a wire-format error, not an out-of-range lookup.
+TEST(WorkerTest, RouteBatchSectionsMustReachTheReceiver) {
+  auto net = testing::Parse(testing::MakeChain(4));
+  SidecarFabric fabric(2, {0, 1, 0, 1});
+  Worker w0(0, net, &fabric, Worker::Options{});
+  Worker w1(1, net, &fabric, Worker::Options{});
+  w0.BeginBgp(nullptr);
+  w1.BeginBgp(nullptr);
+  // Nodes 0 and 2 both export to node 1 (node 2 also to node 3): one
+  // message from worker 0 to worker 1.
+  ASSERT_TRUE(w0.ComputeAndShip());
+  EXPECT_EQ(fabric.messages_sent_by(0), 1u);
+  w1.Deliver();
+
+  // from_node 3 is local to worker 1, not one of its shadows; to_node 0
+  // is not local; node 9 does not exist.
+  for (auto [from, to] : std::vector<std::pair<topo::NodeId, topo::NodeId>>{
+           {3, 1}, {0, 0}, {9, 1}, {0, 9}}) {
+    Message message = MakeMessage(1, 0, {});
+    EncodeRouteBatch({RouteSection{from, to, {}}}, message.payload);
+    fabric.Send(0, std::move(message));
+    EXPECT_THROW(w1.Deliver(), util::WireFormatError)
+        << "from " << from << " to " << to;
+  }
 }
 
 TEST(DistQueryTest, PathsStitchAcrossWorkers) {

@@ -335,7 +335,9 @@ TEST(ParserFuzzTest, MutatedV6RenderingsAreRejected) {
 // what turns a single flipped bit into a multi-gigabyte reserve() if a
 // count is trusted before the remaining bytes are measured.
 
-std::vector<uint8_t> ValidRouteBatch(cp::AttrPool& pool) {
+// The RibStore spill format (cp::SerializeRoutes): one attribute table
+// and one routes body.
+std::vector<cp::RouteUpdate> ValidRouteUpdates(cp::AttrPool& pool) {
   std::vector<cp::RouteUpdate> updates;
   for (uint32_t i = 0; i < 8; ++i) {
     cp::Route r;
@@ -351,8 +353,12 @@ std::vector<uint8_t> ValidRouteBatch(cp::AttrPool& pool) {
   }
   updates.push_back(cp::RouteUpdate{util::MustParsePrefix("10.9.0.0/24"),
                                     true, cp::Route{}});
+  return updates;
+}
+
+std::vector<uint8_t> ValidRouteBatch(cp::AttrPool& pool) {
   std::vector<uint8_t> bytes;
-  cp::SerializeRoutes(updates, bytes);
+  cp::SerializeRoutes(ValidRouteUpdates(pool), bytes);
   return bytes;
 }
 
@@ -453,6 +459,89 @@ TEST(WireFuzzTest, EveryTruncatedMixedFamilyBatchErrors) {
     std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + len);
     EXPECT_THROW(cp::DeserializeRoutes(cut, pool), util::WireFormatError)
         << "prefix of " << len << " bytes";
+  }
+}
+
+// The sidecar's route exchange payload (dist::EncodeRouteBatch): one
+// attribute table shared by several (from_node, to_node) sections — here
+// a v4 section, a mixed-family section and an empty one.
+std::vector<uint8_t> ValidSidecarRouteBatch(cp::AttrPool& pool) {
+  std::vector<cp::RouteUpdate> mixed;
+  cp::Route v6;
+  v6.prefix = util::MustParsePrefix("2001:db8:7::/48");
+  v6.origin_node = 4;
+  v6.MutateAttrs(pool, [](cp::AttrTuple& t) { t.as_path = {65003u}; });
+  mixed.push_back(cp::RouteUpdate{v6.prefix, false, v6});
+  mixed.push_back(cp::RouteUpdate{util::MustParsePrefix("10.8.0.0/24"), true,
+                                  cp::Route{}});
+  std::vector<uint8_t> bytes;
+  dist::EncodeRouteBatch({dist::RouteSection{1, 5, ValidRouteUpdates(pool)},
+                          dist::RouteSection{2, 5, std::move(mixed)},
+                          dist::RouteSection{3, 6, {}}},
+                         bytes);
+  return bytes;
+}
+
+TEST(WireFuzzTest, SidecarRouteBatchRoundTrips) {
+  cp::AttrPool pool;
+  std::vector<uint8_t> bytes = ValidSidecarRouteBatch(pool);
+  std::vector<dist::RouteSection> sections =
+      dist::DecodeRouteBatch(bytes, pool);
+  ASSERT_EQ(sections.size(), 3u);
+  EXPECT_EQ(sections[0].from_node, 1u);
+  EXPECT_EQ(sections[0].to_node, 5u);
+  EXPECT_EQ(sections[0].updates, ValidRouteUpdates(pool));
+  EXPECT_EQ(sections[1].updates.size(), 2u);
+  EXPECT_EQ(sections[1].updates[0].route.as_path(),
+            std::vector<uint32_t>{65003u});
+  EXPECT_TRUE(sections[1].updates[1].withdraw);
+  EXPECT_EQ(sections[2].to_node, 6u);
+  EXPECT_TRUE(sections[2].updates.empty());
+}
+
+TEST(WireFuzzTest, EveryTruncatedSidecarRouteBatchErrors) {
+  cp::AttrPool pool;
+  std::vector<uint8_t> bytes = ValidSidecarRouteBatch(pool);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    EXPECT_THROW(dist::DecodeRouteBatch(cut, pool), util::WireFormatError)
+        << "prefix of " << len << " bytes";
+  }
+  std::vector<uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_THROW(dist::DecodeRouteBatch(trailing, pool), util::WireFormatError);
+}
+
+// Every byte of the payload overwritten with several values, and every
+// 4-byte window saturated (whichever count, length, node id or index it
+// hits): decode must reject or yield no more entries than there are
+// bytes — never abort, read out of bounds or allocate a trusted count.
+TEST(WireFuzzTest, CorruptSidecarRouteBatchBytesErrorOrDecode) {
+  cp::AttrPool pool;
+  std::vector<uint8_t> bytes = ValidSidecarRouteBatch(pool);
+  auto check = [&](const std::vector<uint8_t>& corrupt) {
+    try {
+      size_t entries = 0;
+      for (const dist::RouteSection& section :
+           dist::DecodeRouteBatch(corrupt, pool)) {
+        entries += 1 + section.updates.size();
+      }
+      EXPECT_LE(entries, corrupt.size());
+    } catch (const util::WireFormatError&) {
+    }
+  };
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (uint8_t value : {uint8_t{0}, uint8_t{1}, uint8_t{0x7F}, uint8_t{0xFF}}) {
+      if (bytes[pos] == value) continue;
+      std::vector<uint8_t> corrupt = bytes;
+      corrupt[pos] = value;
+      check(corrupt);
+    }
+  }
+  for (size_t pos = 0; pos + 4 <= bytes.size(); ++pos) {
+    std::vector<uint8_t> corrupt = bytes;
+    for (size_t i = 0; i < 4; ++i) corrupt[pos + i] = 0xFF;
+    check(corrupt);
   }
 }
 
@@ -642,8 +731,9 @@ dist::Message SampleFabricMessage() {
   dist::Message msg;
   msg.type = dist::MessageType::kRouteUpdates;
   msg.to_node = 5;
-  msg.from_node = 2;
-  msg.payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x42};
+  msg.from_node = 1;
+  cp::AttrPool pool;
+  msg.payload = ValidSidecarRouteBatch(pool);
   return msg;
 }
 

@@ -3,14 +3,22 @@
 // advertisement, split horizon, and result retention.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "cp/node.h"
+#include "cp/ospf.h"
 #include "test_networks.h"
 
 namespace s2::cp {
 namespace {
 
+// Sees every batch of updates `from` sends `to` before it is merged.
+using ExchangeObserver = std::function<void(
+    topo::NodeId from, topo::NodeId to, const std::vector<RouteUpdate>&)>;
+
 // Drives a set of nodes through synchronous rounds until the fix point.
-int Converge(std::vector<std::unique_ptr<Node>>& nodes, int max_rounds = 50) {
+int Converge(std::vector<std::unique_ptr<Node>>& nodes, int max_rounds = 50,
+             const ExchangeObserver& observe = nullptr) {
   int rounds = 0;
   for (;;) {
     bool any = false;
@@ -19,6 +27,7 @@ int Converge(std::vector<std::unique_ptr<Node>>& nodes, int max_rounds = 50) {
     for (auto& node : nodes) {
       for (const Node::Session& session : node->sessions()) {
         auto updates = nodes[session.peer]->TakeUpdatesFor(node->id());
+        if (observe) observe(session.peer, node->id(), updates);
         if (!updates.empty()) node->ReceiveUpdates(session.peer, updates);
       }
     }
@@ -244,6 +253,133 @@ TEST(NodeTest, RedistributesOspfIntoBgp) {
   ASSERT_TRUE(nodes[2]->bgp_routes().count(lo0));
   EXPECT_EQ(nodes[2]->bgp_routes().at(lo0).front().origin(),
             2u);  // incomplete
+}
+
+// A hub r0 with leaves r1..r(n-1); every router announces 10.0.i.0/24
+// and its loopback, with private ASNs 65001 + i.
+topo::Network MakeStar(int n) {
+  topo::Network net;
+  net.name = "star" + std::to_string(n);
+  for (int i = 0; i < n; ++i) {
+    net.graph.AddNode(topo::NodeInfo{"r" + std::to_string(i),
+                                     topo::Role::kEdge, 0, -1, 1.0});
+  }
+  for (int i = 1; i < n; ++i) net.graph.AddEdge(0, i);
+  net.intents.resize(n);
+  for (int i = 0; i < n; ++i) {
+    topo::NodeIntent& intent = net.intents[i];
+    intent.asn = 65001 + static_cast<uint32_t>(i);
+    intent.enable_ospf = true;
+    intent.loopback = util::IpPrefix(
+        util::IpAddress((172u << 24) | (16u << 16) | uint32_t(i)), 32);
+    intent.announced.push_back(intent.loopback);
+    intent.announced.push_back(util::IpPrefix(
+        util::IpAddress((10u << 24) | (uint32_t(i) << 8)), 24));
+    intent.max_ecmp_paths = 4;
+  }
+  topo::AssignLinkAddresses(net);
+  return net;
+}
+
+// Export classes are an optimization only: the hub's outboxes must equal
+// what a per-session TransformForExport (OspfExport in the OSPF pass)
+// oracle produces, with split horizon, aggregate suppression and export
+// rejects applied per session. The hub's sessions cover every case: r1,
+// r2 and r5 share a tagging map; r3 has the same map plus
+// remove-private-as; r4 has a map that rejects 10.0.3.0/24; each leaf's
+// own routes are split-horizoned back to it; and a summary-only
+// aggregate suppresses r4's and r5's /24s.
+TEST(NodeTest, ExportClassesMatchPerSessionOracle) {
+  topo::Network star = MakeStar(6);
+  star.intents[0].aggregates.push_back(topo::AggregateIntent{
+      util::MustParsePrefix("10.0.4.0/23"), true, {}});
+  config::ParsedNetwork net = testing::Parse(star);
+  config::ViConfig& hub = net.configs[0];
+  config::RouteMap tag{"TAG", {}};
+  tag.clauses.emplace_back();
+  tag.clauses.back().add_communities = {555};
+  tag.clauses.back().set_med = 7;
+  config::RouteMap reject{"REJECT3", {}};
+  reject.clauses.emplace_back();
+  reject.clauses.back().permit = false;
+  reject.clauses.back().match_covered_by =
+      util::MustParsePrefix("10.0.3.0/24");
+  reject.clauses.emplace_back();
+  reject.clauses.back().as_path_prepend = 1;
+  hub.route_maps["TAG"] = tag;
+  hub.route_maps["REJECT3"] = reject;
+  for (config::BgpNeighbor& neighbor : hub.bgp.neighbors) {
+    topo::NodeId peer = net.FindByAddress(neighbor.peer_address);
+    neighbor.export_route_map = peer == 4 ? "REJECT3" : "TAG";
+    neighbor.remove_private_as = peer == 3;
+  }
+
+  AttrPool pool;
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (topo::NodeId id = 0; id < net.configs.size(); ++id) {
+    nodes.push_back(std::make_unique<Node>(id, net, nullptr, &pool));
+  }
+  const Node& center = *nodes[0];
+  ASSERT_EQ(center.sessions().size(), 5u);
+  EXPECT_EQ(center.export_classes(), 3u);
+
+  bool bgp = false;
+  int exported = 0, split = 0, suppressed = 0, rejected = 0;
+  std::map<std::pair<topo::NodeId, util::IpPrefix>, RouteUpdate> last;
+  auto oracle = [&](topo::NodeId from, topo::NodeId to,
+                    const std::vector<RouteUpdate>& updates) {
+    if (from != 0) return;
+    const Node::Session* session = nullptr;
+    for (const Node::Session& s : center.sessions()) {
+      if (s.peer == to) session = &s;
+    }
+    ASSERT_NE(session, nullptr);
+    for (const RouteUpdate& update : updates) {
+      RouteUpdate expected{update.prefix, true, Route{}};
+      const std::vector<Route>* best = center.rib().Best(update.prefix);
+      if (best == nullptr) {
+      } else if (best->front().learned_from == to) {
+        ++split;
+      } else if (bgp && SuppressedByAggregate(update.prefix, hub)) {
+        ++suppressed;
+      } else if (!bgp) {
+        expected = RouteUpdate{update.prefix, false,
+                               OspfExport(best->front())};
+      } else if (auto route = TransformForExport(best->front(), hub,
+                                                 *session->neighbor, pool)) {
+        expected = RouteUpdate{update.prefix, false, *route};
+      } else {
+        ++rejected;
+      }
+      if (!expected.withdraw) ++exported;
+      EXPECT_EQ(update, expected)
+          << (bgp ? "bgp" : "ospf") << " update of "
+          << update.prefix.ToString() << " to r" << to;
+      last[{to, update.prefix}] = update;
+    }
+  };
+
+  for (auto& node : nodes) node->BeginOspf();
+  Converge(nodes, 50, oracle);
+  EXPECT_GT(exported, 0);
+  EXPECT_GT(split, 0);
+  for (auto& node : nodes) node->FinishOspf();
+
+  bgp = true;
+  exported = split = 0;
+  for (auto& node : nodes) node->BeginBgp(nullptr);
+  Converge(nodes, 50, oracle);
+  EXPECT_GT(exported, 0);
+  EXPECT_GT(split, 0);
+  EXPECT_GT(suppressed, 0);
+  EXPECT_GT(rejected, 0);
+  // The classes really differ: r3 hears r2's /24 with the private ASNs
+  // removed, r1 with them, and r4 never hears r3's /24.
+  auto p2 = util::MustParsePrefix("10.0.2.0/24");
+  auto p3 = util::MustParsePrefix("10.0.3.0/24");
+  EXPECT_NE(last.at({3, p2}).route.as_path(),
+            last.at({1, p2}).route.as_path());
+  EXPECT_TRUE(last.at({4, p3}).withdraw);
 }
 
 }  // namespace
