@@ -107,7 +107,7 @@ int RunMultiQueryMode() {
   controller.RunControlPlane();
   controller.BuildDataPlanes();
 
-  // Sequential oracle first: the classic per-query fabric rounds.
+  // Sequential oracle first: one Controller::RunQuery per query.
   std::vector<std::string> seq_verdicts;
   for (const dp::Query& query : queries) {
     seq_verdicts.push_back(VerdictSummary(controller.RunQuery(query).result));

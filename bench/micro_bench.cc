@@ -12,6 +12,8 @@
 #include "cp/policy.h"
 #include "cp/rib.h"
 #include "cp/shard.h"
+#include "dist/controller.h"
+#include "dist/domain.h"
 #include "dist/worker.h"
 #include "dp/fib.h"
 #include "dp/packet.h"
@@ -471,5 +473,84 @@ void BM_MetisLikePartition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MetisLikePartition)->Arg(8)->Arg(16);
+
+// ------------------------------------------------------------ forwarding
+
+// FatTree k=12's converged data plane over 4 workers (20 prefix shards),
+// held as each worker's predicate bytes, plus the all-pair query.
+struct ForwardingFixture {
+  std::vector<std::map<topo::NodeId, std::vector<uint8_t>>> predicates;
+  std::vector<uint32_t> worker_of;
+  dp::HeaderLayout layout;
+  int max_hops = 0;
+  dp::Query query;
+};
+
+const ForwardingFixture& BenchForwarding() {
+  static const ForwardingFixture* fixture = [] {
+    auto* out = new ForwardingFixture;
+    topo::FatTreeParams params;
+    params.k = 12;
+    config::ParsedNetwork network = config::ParseNetwork(
+        config::SynthesizeConfigs(topo::MakeFatTree(params)));
+    out->query.header_space.dst = util::MustParsePrefix("10.0.0.0/8");
+    for (topo::NodeId id = 0; id < network.graph.size(); ++id) {
+      if (network.graph.node(id).role == topo::Role::kEdge) {
+        out->query.sources.push_back(id);
+        out->query.destinations.push_back(id);
+      }
+    }
+    dist::ControllerOptions options;
+    options.num_workers = 4;
+    options.num_shards = 20;
+    dist::Controller controller(std::move(network), options);
+    controller.Setup();
+    controller.RunControlPlane();
+    controller.BuildDataPlanes();
+    for (size_t w = 0; w < controller.num_workers(); ++w) {
+      out->predicates.push_back(controller.handle(w).SnapshotPredicates());
+    }
+    out->worker_of = controller.fabric().assignment();
+    out->layout = controller.options().layout;
+    out->max_hops = controller.options().max_hops;
+    return out;
+  }();
+  return *fixture;
+}
+
+// One all-pair query through the forwarding loop over 4 domains. Rebuilding
+// the domains from predicate bytes is left out of the timing.
+// Arg: pool threads (0 = the serial loop).
+void BM_ForwardAcrossDomains(benchmark::State& state) {
+  const ForwardingFixture& fixture = BenchForwarding();
+  std::unique_ptr<util::ThreadPool> pool;
+  if (state.range(0) > 0) {
+    pool = std::make_unique<util::ThreadPool>(
+        static_cast<size_t>(state.range(0)));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<std::unique_ptr<dp::Domain>> owned;
+    std::vector<dp::Domain*> domains;
+    for (const auto& predicates : fixture.predicates) {
+      owned.push_back(dist::BuildDomain(predicates, fixture.layout,
+                                        fixture.max_hops, {}));
+      domains.push_back(owned.back().get());
+      dp::InstallQuery(domains.back()->engine, fixture.query);
+    }
+    state.ResumeTiming();
+    dist::CrossingRun run =
+        dist::ForwardAcrossDomains(domains, fixture.worker_of, {}, pool.get());
+    benchmark::DoNotOptimize(run.finals.size());
+    state.PauseTiming();
+    owned.clear();  // domain teardown is untimed too
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_ForwardAcrossDomains)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   std::printf("control plane: %d rounds, %s wall\n",
               result.control_plane.rounds,
               core::HumanSeconds(result.control_plane.wall_seconds).c_str());
-  std::printf("per-worker peak memory: %s   sidecar traffic: %s\n",
+  std::printf("per-worker peak memory: %s   cross-worker traffic: %s\n",
               core::HumanBytes(result.peak_memory_bytes).c_str(),
               core::HumanBytes(result.comm_bytes).c_str());
   return reach.unreachable_pairs == 0 ? 0 : 1;

@@ -42,6 +42,8 @@ struct VerifyResult {
   std::vector<size_t> worker_peaks;
 
   size_t total_best_routes = 0;
+  // Bytes that crossed a worker boundary: fabric route batches, crossing
+  // symbolic packets and gathered finals.
   size_t comm_bytes = 0;
   size_t forwarding_steps = 0;
 

@@ -60,7 +60,7 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
           controller_->RunQueries(queries);
       result.dp_forward.Add(multi.aggregate);
       for (dist::Controller::QueryOutcome& outcome : multi.outcomes) {
-        result.comm_bytes += outcome.gather_bytes;
+        result.comm_bytes += outcome.metrics.comm_bytes + outcome.gather_bytes;
         result.forwarding_steps += outcome.forwarding_steps;
         result.queries.push_back(std::move(outcome.result));
       }
@@ -68,7 +68,7 @@ VerifyResult S2Verifier::Verify(config::ParsedNetwork network,
       for (const dp::Query& query : queries) {
         dist::Controller::QueryOutcome outcome = controller_->RunQuery(query);
         result.dp_forward.Add(outcome.metrics);
-        result.comm_bytes += outcome.gather_bytes;
+        result.comm_bytes += outcome.metrics.comm_bytes + outcome.gather_bytes;
         result.forwarding_steps += outcome.forwarding_steps;
         result.queries.push_back(std::move(outcome.result));
       }

@@ -214,14 +214,6 @@ RoundMetrics Controller::BuildDataPlanesHybrid(
 }
 
 Controller::QueryOutcome Controller::RunQuery(const dp::Query& query) {
-  if (options_.worker_mode == WorkerMode::kProcess) {
-    // Queries evaluate controller-side over gathered predicate state
-    // (Dpo::RunQueries) — the per-worker forwarding walk lives in the
-    // child processes, which don't ship per-packet traversal. The
-    // multi-query path already works handle-free.
-    MultiQueryOutcome multi = RunQueries({query});
-    return std::move(multi.outcomes.front());
-  }
   obs::Span span("controller", "controller.query");
   dp::PacketCodec gather_codec(gather_manager_.get(), options_.layout);
   Dpo::QueryRun run = dpo_->RunQuery(query, gather_codec);
@@ -231,14 +223,6 @@ Controller::QueryOutcome Controller::RunQuery(const dp::Query& query) {
   outcome.forwarding_steps = run.forwarding_steps;
   outcome.result =
       dp::EvaluateQuery(query, gather_codec, run.finals, network_);
-  // Queries mutate no durable worker state; truncating the replay logs at
-  // the query barrier keeps them from growing across a query sweep.
-  if (injector_ != nullptr) {
-    for (uint32_t w = 0; w < handles_.size(); ++w) {
-      checkpoints_[w].fabric_round = fabric_->CurrentRound();
-      fabric_->MarkCheckpoint(w);
-    }
-  }
   return outcome;
 }
 

@@ -92,6 +92,9 @@ class Controller {
     size_t gather_bytes = 0;
     size_t forwarding_steps = 0;
   };
+  // One query on the forwarding loop (Dpo::RunQuery). Queries send
+  // nothing through the fabric, so they neither advance its rounds nor
+  // grow its replay logs.
   QueryOutcome RunQuery(const dp::Query& query);
 
   // Runs independent queries concurrently (Dpo::RunQueries): per-query

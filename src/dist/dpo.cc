@@ -89,66 +89,82 @@ RoundMetrics Dpo::BuildDataPlanesHybrid(
   return metrics;
 }
 
+const std::vector<std::map<topo::NodeId, std::vector<uint8_t>>>&
+Dpo::Snapshots() {
+  // Fetched once per data-plane build and shared read-only by every
+  // query: for a process-backed worker each fetch is a round trip over
+  // the control channel carrying every predicate.
+  if (snapshots_.empty()) {
+    std::vector<std::map<topo::NodeId, std::vector<uint8_t>>> fetched(
+        workers_->size());
+    pool_->ParallelFor(workers_->size(), [&](size_t w) {
+      obs::Span span("dp", "dp.snapshot_fetch");
+      span.Arg("worker", static_cast<int64_t>(w));
+      fetched[w] = (*workers_)[w]->SnapshotPredicates();
+    });
+    snapshots_ = std::move(fetched);
+  }
+  return snapshots_;
+}
+
+std::unique_ptr<dp::Domain> Dpo::RebuildDomain(size_t w) {
+  // Node bytes are charged to the owning worker's tracker (atomic, so
+  // concurrent builds are race-free and per-worker budgets still bind).
+  bdd::Manager::Options manager_options;
+  manager_options.max_nodes = worker_options_.max_bdd_nodes;
+  manager_options.tracker = &(*workers_)[w]->query_tracker();
+  return BuildDomain(snapshots_[w], worker_options_.layout,
+                     worker_options_.max_hops, manager_options);
+}
+
 Dpo::QueryRun Dpo::RunQuery(const dp::Query& query,
                             const dp::PacketCodec& gather_codec) {
   QueryRun run;
   util::Stopwatch wall;
-  // RunQuery drives the workers' own forwarding engines through the
-  // sidecar fabric — an in-process path. Process mode answers queries via
-  // RunQueries (controller-side domains from SnapshotPredicates), so the
-  // local worker is always present here.
-  bdd::Manager::CacheStats cache_before = SumWorkerCacheStats(*workers_);
-  pool_->ParallelFor(workers_->size(), [&](size_t w) {
-    (*workers_)[w]->local()->PrepareQuery(query);
-  });
-
   size_t num_workers = workers_->size();
-  std::vector<char> moved(num_workers, 0);
-  for (;;) {
-    obs::Span round_span("dp", "dp.round");
-    round_span.Arg("round", run.metrics.rounds);
-    size_t bytes_before = fabric_->total_bytes();
-    // Two barrier phases per round (like the CPO's rounds): packets a
-    // worker ships in phase B are only accepted in the NEXT round's phase
-    // A, so the round partitioning is schedule-independent — without the
-    // barrier, whether worker B sees worker A's frames this round or next
-    // depends on thread timing, and batching/coalescing (and therefore
-    // comm_bytes and finals fragmentation) becomes nondeterministic.
-    std::vector<char> accepted(num_workers, 0);
-    pool_->ParallelFor(num_workers, [&](size_t w) {
-      accepted[w] = (*workers_)[w]->local()->AcceptPackets() ? 1 : 0;
-    });
-    pool_->ParallelFor(num_workers, [&](size_t w) {
-      moved[w] = (*workers_)[w]->local()->ForwardAndShip() ? 1 : 0;
-    });
-    bool any = false;
-    double busy = 0;
-    for (size_t w = 0; w < num_workers; ++w) {
-      any = any || accepted[w] || moved[w];
-      busy = std::max(busy, (*workers_)[w]->last_phase_seconds());
-    }
-    size_t bytes_after = fabric_->total_bytes();
-    // No per-round latency term here: unlike control-plane rounds, packet
-    // forwarding is asynchronous in S2's design (sidecars stream packets;
-    // the DPO only detects quiescence) — the in-process round loop is an
-    // implementation artifact, not a modeled barrier.
-    run.metrics.comm_bytes += bytes_after - bytes_before;
-    run.metrics.modeled_seconds +=
-        busy + double(bytes_after - bytes_before) / double(num_workers) /
-                   cost_.bandwidth_bytes_per_sec;
-    ++run.metrics.rounds;
-    if (!any && !fabric_->HasPending()) break;
+  // A process-backed worker's domain is rebuilt from its predicate bytes.
+  if (std::any_of(workers_->begin(), workers_->end(), [](const auto& w) {
+        return w->local() == nullptr;
+      })) {
+    Snapshots();
   }
+  std::vector<std::unique_ptr<dp::Domain>> owned(num_workers);
+  std::vector<dp::Domain*> domains(num_workers, nullptr);
+  std::vector<bdd::Manager::CacheStats> cache_before(num_workers);
+  pool_->ParallelFor(num_workers, [&](size_t w) {
+    Worker* local = (*workers_)[w]->local();
+    if (local != nullptr) {
+      domains[w] = local->domain();
+    } else {
+      owned[w] = RebuildDomain(w);
+      domains[w] = owned[w].get();
+    }
+    cache_before[w] = domains[w]->manager.cache_stats();
+    dp::InstallQuery(domains[w]->engine, query);
+  });
+  CrossingRun crossing =
+      ForwardAcrossDomains(domains, fabric_->assignment(), {}, pool_);
 
-  // Gather finals into the controller's domain (serialized BDD transfer).
-  for (const auto& worker : *workers_) {
-    run.forwarding_steps += worker->forwarding_steps();
-    for (const dp::SerializedFinal& final : worker->local()->TakeFinals()) {
-      run.gather_bytes += final.WireBytes();
-      run.finals.push_back(dp::FromWire(final, *gather_codec.manager()));
-    }
+  run.metrics.rounds = crossing.rounds;
+  run.metrics.comm_bytes = crossing.comm_bytes;
+  run.metrics.comm_messages = crossing.comm_messages;
+  // No per-round latency term: packet forwarding is asynchronous in S2's
+  // design (sidecars stream packets; the DPO only detects quiescence), so
+  // the rounds are an implementation artifact, not a modeled barrier.
+  run.metrics.modeled_seconds =
+      crossing.busy_seconds + double(crossing.comm_bytes) /
+                                  double(num_workers) /
+                                  cost_.bandwidth_bytes_per_sec;
+  run.forwarding_steps = crossing.steps;
+  for (size_t w = 0; w < num_workers; ++w) {
+    RecordCacheDelta(run.metrics, cache_before[w],
+                     domains[w]->manager.cache_stats());
   }
-  RecordCacheDelta(run.metrics, cache_before, SumWorkerCacheStats(*workers_));
+  // Gather finals into the controller's domain (serialized BDD transfer).
+  for (const dp::SerializedFinal& final : crossing.finals) {
+    run.gather_bytes += final.WireBytes();
+    run.finals.push_back(dp::FromWire(final, *gather_codec.manager()));
+  }
   run.metrics.wall_seconds = wall.ElapsedSeconds();
   return run;
 }
@@ -163,23 +179,9 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
   util::Stopwatch wall;
 
   size_t num_workers = workers_->size();
-
-  // One snapshot of every worker's canonical predicate bytes, shared
-  // read-only by all query tasks (bdd_io encodes structurally, so each
-  // task can rebuild an equivalent domain in a private manager). A query
-  // sweep reuses it: for a process-backed worker each fetch is a round
-  // trip over the control channel carrying every predicate.
-  if (snapshots_.empty()) {
-    std::vector<std::map<topo::NodeId, std::vector<uint8_t>>> fetched(
-        num_workers);
-    pool_->ParallelFor(num_workers, [&](size_t w) {
-      obs::Span span("dp", "dp.snapshot_fetch");
-      span.Arg("worker", static_cast<int64_t>(w));
-      fetched[w] = (*workers_)[w]->SnapshotPredicates();
-    });
-    snapshots_ = std::move(fetched);
-  }
-  const auto& snapshots = snapshots_;
+  // Each task rebuilds equivalent domains in private managers (bdd_io
+  // encodes structurally) from one shared snapshot.
+  Snapshots();
 
   std::vector<std::vector<dp::SerializedFinal>> finals(queries.size());
   std::vector<double> busy(queries.size(), 0.0);  // thread-CPU per task
@@ -190,17 +192,11 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
     util::Stopwatch task_wall;
     double cpu_start = util::ThreadCpuSeconds();
 
-    // Per-query, per-worker shared-nothing domains; node bytes are charged
-    // to the owning worker's tracker (atomic, so concurrent queries are
-    // race-free and per-worker budgets still bind).
+    // Per-query, per-worker shared-nothing domains.
     std::vector<std::unique_ptr<dp::Domain>> owned;
     std::vector<dp::Domain*> domains;
-    bdd::Manager::Options manager_options;
-    manager_options.max_nodes = worker_options_.max_bdd_nodes;
     for (size_t w = 0; w < num_workers; ++w) {
-      manager_options.tracker = &(*workers_)[w]->query_tracker();
-      owned.push_back(BuildDomain(snapshots[w], worker_options_.layout,
-                                  worker_options_.max_hops, manager_options));
+      owned.push_back(RebuildDomain(w));
       domains.push_back(owned.back().get());
       dp::InstallQuery(domains.back()->engine, queries[q]);
     }
@@ -213,13 +209,10 @@ Dpo::MultiQueryRun Dpo::RunQueries(const std::vector<dp::Query>& queries,
     metrics.comm_messages = crossing.comm_messages;
     multi.runs[q].forwarding_steps = crossing.steps;
     finals[q] = std::move(crossing.finals);
-    bdd::Manager::CacheStats cache;
     for (const dp::Domain* domain : domains) {
-      cache.hits += domain->manager.cache_stats().hits;
-      cache.misses += domain->manager.cache_stats().misses;
-      cache.evictions += domain->manager.cache_stats().evictions;
+      RecordCacheDelta(metrics, bdd::Manager::CacheStats{},
+                       domain->manager.cache_stats());
     }
-    RecordCacheDelta(metrics, bdd::Manager::CacheStats{}, cache);
     busy[q] = util::ThreadCpuSeconds() - cpu_start;
     metrics.modeled_seconds =
         busy[q] + double(metrics.comm_bytes) / cost_.bandwidth_bytes_per_sec;

@@ -3,10 +3,11 @@
 // Workflow: first every worker computes FIBs and forwarding/ACL predicates
 // for its nodes in parallel (each in its own BDD manager — the design that
 // gives Fig 10 its predicate-phase speedup), then queries run as rounds of
-// distributed symbolic forwarding: workers forward to local quiescence,
-// cross-worker packets travel serialized through the sidecars, and the
-// round loop continues until no worker moves a packet. Finals are gathered
-// (serialized) into the controller's BDD domain for verdict computation.
+// distributed symbolic forwarding (ForwardAcrossDomains, dist/domain.h):
+// every worker's domain forwards to local quiescence, the packets that
+// cross workers travel serialized, and the rounds continue until no domain
+// moves a packet. Finals are gathered (serialized) into the controller's
+// BDD domain for verdict computation.
 #pragma once
 
 #include "dist/cpo.h"  // CostModelParams, RoundMetrics
@@ -40,6 +41,10 @@ class Dpo {
     size_t forwarding_steps = 0;  // summed engine steps of this query
   };
 
+  // One query, its rounds on the DPO's pool. An in-process worker
+  // forwards in its own persistent domain; a process-backed worker's
+  // domain is rebuilt from its predicate bytes (fetched as RunQueries
+  // does) and charged to the handle's query tracker.
   QueryRun RunQuery(const dp::Query& query,
                     const dp::PacketCodec& gather_codec);
 
@@ -48,12 +53,12 @@ class Dpo {
   // canonical predicate bytes (SnapshotPredicates) — managers stay
   // shared-nothing, per-query and per-worker. The bytes are fetched once
   // per data-plane build and kept for later calls (see DropSnapshots).
-  // Each query runs ForwardAcrossDomains (dist/domain.h), so its finals
-  // match RunQuery's byte for byte (pinned by the differential tests).
-  // `lanes` bounds the modeled concurrency: per-query busy is measured as
-  // thread-CPU time and the aggregate's modeled_seconds is the LPT
-  // makespan of those busies over `lanes` slots (DESIGN.md §3 — this
-  // 1-core box interleaves; the model reports what an L-thread box would).
+  // Each query runs ForwardAcrossDomains (dist/domain.h) serially inside
+  // its task, so its finals match RunQuery's byte for byte (pinned by the
+  // differential tests). `lanes` bounds the modeled concurrency:
+  // per-query busy is measured as thread-CPU time and the aggregate's
+  // modeled_seconds is the LPT makespan of those busies over `lanes`
+  // slots (DESIGN.md §3: the model reports what an L-thread box would).
   struct MultiQueryRun {
     std::vector<QueryRun> runs;  // per query, in input order
     RoundMetrics aggregate;
@@ -70,6 +75,13 @@ class Dpo {
   void DropSnapshots() { snapshots_.clear(); }
 
  private:
+  // Every worker's predicate bytes, fetched in parallel on first use.
+  const std::vector<std::map<topo::NodeId, std::vector<uint8_t>>>&
+  Snapshots();
+  // A private domain rebuilt from worker w's snapshot bytes, charged to
+  // the handle's query tracker.
+  std::unique_ptr<dp::Domain> RebuildDomain(size_t w);
+
   std::vector<std::unique_ptr<WorkerHandle>>* workers_;
   SidecarFabric* fabric_;
   util::ThreadPool* pool_;

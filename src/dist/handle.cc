@@ -91,10 +91,6 @@ bdd::Manager::CacheStats LocalWorkerHandle::bdd_cache_stats() const {
   return worker_->bdd_cache_stats();
 }
 
-size_t LocalWorkerHandle::forwarding_steps() const {
-  return worker_->forwarding_steps();
-}
-
 cp::AttrPool::Stats LocalWorkerHandle::attr_stats() const {
   return worker_->attr_pool().stats();
 }

@@ -63,7 +63,6 @@ class WorkerHandle {
   // handle-local tracker with the same budget for a process-backed one.
   virtual util::MemoryTracker& query_tracker() = 0;
   virtual bdd::Manager::CacheStats bdd_cache_stats() const = 0;
-  virtual size_t forwarding_steps() const = 0;
   virtual cp::AttrPool::Stats attr_stats() const = 0;
   // Converged best routes held by this worker (unsharded runs; sharded
   // totals come from the spill store / spill responses).
@@ -74,8 +73,9 @@ class WorkerHandle {
 
   // The in-process worker behind this handle, or nullptr for a
   // process-backed one. Callers needing rich in-process state (snapshot
-  // capture, incremental what-if, Dpo::RunQuery's engine loop) go through
-  // this and are gated off in process mode.
+  // capture, incremental what-if, the persistent domain Dpo::RunQuery
+  // forwards in) go through this; process mode gates them off or, for
+  // queries, rebuilds the domain from SnapshotPredicates.
   virtual Worker* local() = 0;
   const Worker* local() const {
     return const_cast<WorkerHandle*>(this)->local();
@@ -115,7 +115,6 @@ class LocalWorkerHandle : public WorkerHandle {
   double gc_pressure() const override;
   util::MemoryTracker& query_tracker() override;
   bdd::Manager::CacheStats bdd_cache_stats() const override;
-  size_t forwarding_steps() const override;
   cp::AttrPool::Stats attr_stats() const override;
   size_t CountBestRoutes() const override;
 

@@ -289,10 +289,6 @@ class ProcessWorkerHandle : public WorkerHandle {
   bdd::Manager::CacheStats bdd_cache_stats() const override {
     return cache_stats_;
   }
-  // Queries run controller-side in process mode (Dpo::RunQueries over
-  // snapshot bytes), so the per-worker engine step counter has nothing to
-  // count here.
-  size_t forwarding_steps() const override { return 0; }
   // Attribute interning happens inside the child; the pool's shadow
   // counters are not mirrored (the attr.* report metrics read zero in
   // process mode).

@@ -2,7 +2,6 @@
 
 #include "dist/domain.h"
 #include "dp/fib.h"
-#include "obs/trace.h"
 #include "util/status.h"
 
 namespace s2::dist {
@@ -90,7 +89,6 @@ bool Worker::ComputeAndShipImpl(bool suppress_remote) {
   for (std::vector<RouteSection>& sections : outgoing) {
     if (sections.empty()) continue;
     Message message;
-    message.type = MessageType::kRouteUpdates;
     message.to_node = sections.front().to_node;
     message.from_node = sections.front().from_node;
     EncodeRouteBatch(sections, message.payload, &attr_pool_);
@@ -103,12 +101,11 @@ bool Worker::ComputeAndShipImpl(bool suppress_remote) {
 void Worker::Deliver() {
   util::Stopwatch watch;
   DeliverBatch(fabric_->Drain(index_));
-  last_phase_seconds_ += watch.ElapsedSeconds();
+  last_phase_seconds_ = watch.ElapsedSeconds();
 }
 
 void Worker::DeliverBatch(std::vector<Message> messages) {
   for (Message& message : messages) {
-    if (message.type != MessageType::kRouteUpdates) continue;
     // Re-intern into this worker's pool: each distinct tuple in the batch
     // crossed the boundary once and costs one intern here.
     for (RouteSection& section :
@@ -213,68 +210,6 @@ void Worker::BuildDataPlaneHybrid(
   }
   predicate_seconds_ += watch.ElapsedSeconds();
   last_phase_seconds_ = watch.ElapsedSeconds();
-}
-
-void Worker::PrepareQuery(const dp::Query& query) {
-  dp::InstallQuery(dp_->engine, query);
-}
-
-bool Worker::AcceptPackets() {
-  util::Stopwatch watch;
-  bool any = false;
-  for (Message& message : fabric_->Drain(index_)) {
-    if (message.type == MessageType::kPacketBatch) {
-      for (const dp::WirePacket& frame : DecodePacketBatch(message.payload)) {
-        dp_->engine.Accept(dp::FromWire(frame, dp_->manager));
-        any = true;
-      }
-      continue;
-    }
-    if (message.type != MessageType::kSymbolicPacket) continue;
-    dp::WirePacket frame;
-    frame.at = message.to_node;
-    frame.from = message.from_node;
-    frame.src = message.packet_src;
-    frame.hops = message.packet_hops;
-    frame.path = std::move(message.packet_path);
-    frame.set = std::move(message.payload);
-    dp_->engine.Accept(dp::FromWire(frame, dp_->manager));
-    any = true;
-  }
-  last_phase_seconds_ = watch.ElapsedSeconds();
-  return any;
-}
-
-bool Worker::ForwardAndShip() {
-  util::Stopwatch watch;
-  obs::Span span("dp", "dp.worker_forward");
-  span.Arg("worker", index_);
-  size_t steps_before = dp_->engine.steps();
-  // Buffer emissions per destination worker; one kPacketBatch per
-  // destination amortizes the message envelope, and sending after the run
-  // (in ascending destination order) keeps the fabric order deterministic.
-  std::map<uint32_t, std::vector<dp::WirePacket>> outgoing;
-  dp_->engine.Run([&](const dp::InFlightPacket& packet) {
-    outgoing[fabric_->WorkerOf(packet.at)].push_back(dp::ToWire(packet));
-  });
-  for (auto& [dest, frames] : outgoing) {
-    Message message;
-    message.type = MessageType::kPacketBatch;
-    message.to_node = frames.front().at;
-    message.from_node = frames.front().from;
-    EncodePacketBatch(frames, message.payload);
-    fabric_->Send(index_, std::move(message));
-  }
-  last_phase_seconds_ += watch.ElapsedSeconds();
-  return dp_->engine.steps() != steps_before;
-}
-
-std::vector<dp::SerializedFinal> Worker::TakeFinals() {
-  std::vector<dp::SerializedFinal> out;
-  for (const dp::FinalPacket& final : dp_->engine.finals()) {
-    out.push_back(dp::ToWire(final));
-  }
-  return out;
 }
 
 std::map<topo::NodeId, std::vector<uint8_t>> Worker::SnapshotPredicates(

@@ -4,13 +4,14 @@
 // Control plane: real cp::Node objects for assigned switches, ShadowNodes
 // for remote neighbors; synchronous phases driven by the CPO with all
 // cross-worker traffic flowing through the sidecar fabric as serialized
-// bytes — one kRouteUpdates batch per destination worker per round,
+// bytes — one route batch per destination worker per round,
 // carrying every remote session's updates under one attribute table.
 //
 // Data plane: one private BDD domain (manager + ForwardingEngine) per
-// worker. Symbolic packets crossing workers are serialized with bdd_io and
-// re-encoded on arrival (§4.3, option 2: per-worker node tables), batched
-// per destination worker into kPacketBatch frames.
+// worker. The DPO runs queries over these domains with the one forwarding
+// loop (ForwardAcrossDomains, dist/domain.h): symbolic packets crossing
+// workers are serialized with bdd_io and re-encoded on arrival (§4.3,
+// option 2: per-worker node tables).
 //
 // Every byte of control- and data-plane state a worker holds is charged to
 // its own MemoryTracker, whose budget makes per-worker OOM observable.
@@ -25,7 +26,6 @@
 #include "dist/shadow.h"
 #include "dist/sidecar.h"
 #include "dp/forwarding.h"
-#include "dp/properties.h"
 #include "fault/checkpoint.h"
 #include "util/stopwatch.h"
 
@@ -100,23 +100,6 @@ class Worker {
                             const std::unordered_set<topo::NodeId>& rebuild,
                             const ReusableDataPlane& reuse);
 
-  // Installs a query: waypoint write rules and injections at local
-  // sources. Clears any previous query's runtime state.
-  void PrepareQuery(const dp::Query& query);
-
-  // One forwarding round, split in two barrier phases (mirroring the
-  // CPO's ComputeAndShip/Deliver split): first every worker accepts the
-  // serialized packets its sidecar holds, then every worker runs its local
-  // engine to quiescence and ships cross-worker batches. The barrier
-  // between the phases is what keeps the round partitioning — and with it
-  // batching, coalescing, and finals fragmentation — independent of the
-  // thread schedule. Each returns true if anything was processed/moved.
-  bool AcceptPackets();
-  bool ForwardAndShip();
-
-  // Final packets of the last query, serialized for the controller.
-  std::vector<dp::SerializedFinal> TakeFinals();
-
   // Canonical predicate bytes of every local node (the FIB fingerprint;
   // also what Dpo::RunQueries rebuilds per-query domains from). With
   // `only` non-null, restricted to local nodes in that set — the
@@ -126,6 +109,8 @@ class Worker {
       const std::unordered_set<topo::NodeId>* only = nullptr) const;
 
   bool has_data_plane() const { return dp_ != nullptr; }
+  // The persistent domain queries forward in (null before a build).
+  dp::Domain* domain() { return dp_.get(); }
 
   // Per local node, the (prefix, next hop) forward edges of its FIB —
   // retained by BuildDataPlane for snapshot capture (svc/snapshot.h) and
@@ -181,7 +166,6 @@ class Worker {
   double last_phase_seconds() const { return last_phase_seconds_; }
   // Cumulative predicate-computation time (Fig 10's first phase).
   double predicate_seconds() const { return predicate_seconds_; }
-  size_t forwarding_steps() const { return dp_ ? dp_->engine.steps() : 0; }
   // BDD op-cache counters of the data-plane manager.
   bdd::Manager::CacheStats bdd_cache_stats() const {
     return dp_ ? dp_->manager.cache_stats() : bdd::Manager::CacheStats{};

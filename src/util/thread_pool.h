@@ -1,10 +1,10 @@
 // A small fixed-size thread pool.
 //
-// Workers in dist/ use this to run their per-round node computations. On a
-// many-core host this yields real parallelism; on the 1-core benchmark box
-// it degrades to sequential execution, which is why the cost model
-// (DESIGN.md §3) reports modeled parallel time from per-worker busy-time
-// counters rather than relying on wall-clock speedup.
+// dist/ uses this to fan out over workers (control-plane phases, data-plane
+// builds, forwarding rounds) and over independent queries. Wall-clock
+// speedup is bounded by the host's cores; the cost model (DESIGN.md §3)
+// reports modeled parallel time from per-worker busy-time counters, which
+// does not depend on how many cores the host has.
 #pragma once
 
 #include <condition_variable>
@@ -37,9 +37,11 @@ class ThreadPool {
   // claimed from a shared atomic cursor), so nesting a ParallelFor inside a
   // ParallelFor task on the same pool cannot deadlock — the inner call makes
   // progress on the caller's own thread even when every pool thread is
-  // blocked in an outer iteration. Nothing in dist/ nests today (the CPO
-  // and DPO fan out one level, over workers or queries); the guarantee
-  // keeps a task that does fan out again deadlock-free.
+  // blocked in an outer iteration. Nothing in dist/ nests today: the CPO,
+  // the data-plane builds and Dpo::RunQuery's forwarding rounds fan out
+  // one level over workers, and Dpo::RunQueries fans out over queries whose
+  // forwarding loops run serially. The guarantee keeps a task that does
+  // fan out again deadlock-free.
   void ParallelFor(size_t count, const std::function<void(size_t)>& task);
 
   size_t size() const { return threads_.size(); }

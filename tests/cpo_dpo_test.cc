@@ -5,18 +5,23 @@
 
 #include "core/report.h"
 #include "dist/controller.h"
+#include "dist/domain.h"
 #include "obs/registry.h"
 #include "test_networks.h"
+#include "topo/dcn.h"
 #include "topo/fattree.h"
+#include "util/stopwatch.h"
 
 namespace s2::dist {
 namespace {
 
-config::ParsedNetwork FatTree4() {
+config::ParsedNetwork FatTree(int k) {
   topo::FatTreeParams params;
-  params.k = 4;
+  params.k = k;
   return testing::Parse(topo::MakeFatTree(params));
 }
+
+config::ParsedNetwork FatTree4() { return FatTree(4); }
 
 TEST(CpoTest, PerShardMetricsCoverThePlan) {
   auto net = FatTree4();
@@ -87,6 +92,35 @@ TEST(CpoTest, RoundLatencyEntersModeledTime) {
   EXPECT_GT(with, without);
 }
 
+// A phase's busy time is that phase's own: Deliver's last_phase_seconds
+// fits inside a stopwatch around the Deliver call. It did not when Deliver
+// added its time to the phase-A time ComputeAndShip had left behind, so
+// the CPO's modeled rounds counted phase A twice.
+TEST(CpoTest, DeliverReportsOnlyItsOwnTime) {
+  auto net = FatTree(6);
+  ControllerOptions options;
+  options.num_workers = 2;
+  Controller controller(net, options);
+  controller.Setup();
+  std::vector<WorkerHandle*> workers = {&controller.handle(0),
+                                        &controller.handle(1)};
+  for (WorkerHandle* worker : workers) worker->BeginBgp(nullptr, -1);
+  bool any = true;
+  for (int round = 0; any; ++round) {
+    ASSERT_LT(round, 100);
+    any = false;
+    for (WorkerHandle* worker : workers) {
+      any = worker->ComputeAndShip() || any;
+    }
+    for (WorkerHandle* worker : workers) {
+      util::Stopwatch watch;
+      worker->Deliver();
+      double elapsed = watch.ElapsedSeconds();
+      EXPECT_LE(worker->last_phase_seconds(), elapsed) << "round " << round;
+    }
+  }
+}
+
 TEST(CpoTest, TotalBestRoutesMatchesStoreOrNodes) {
   auto net = FatTree4();
   size_t sharded_total = 0, unsharded_total = 0;
@@ -145,6 +179,152 @@ TEST(DpoTest, GatherMovesFinalsToTheControllerDomain) {
   EXPECT_GT(outcome.gather_bytes, 0u);  // finals were serialized back
   EXPECT_EQ(outcome.result.reachable_pairs, 1u);
   EXPECT_GT(outcome.forwarding_steps, 0u);
+}
+
+// Queries send nothing through the fabric: under a lossy fault plan a
+// query sweep leaves the fabric's round clock, byte counters and replay
+// logs exactly where the data-plane build left them.
+TEST(DpoTest, QueriesLeaveTheFabricUntouched) {
+  auto net = FatTree4();
+  ControllerOptions options;
+  options.num_workers = 4;
+  fault::FaultPlan plan;
+  plan.default_link.drop = 0.1;
+  options.fault_plan = plan;
+  Controller controller(net, options);
+  controller.Setup();
+  controller.RunControlPlane();
+  controller.BuildDataPlanes();
+
+  const SidecarFabric& fabric = controller.fabric();
+  ASSERT_TRUE(fabric.reliable());
+  auto state = [&] {
+    std::vector<size_t> replay;
+    for (uint32_t w = 0; w < options.num_workers; ++w) {
+      replay.push_back(fabric.ReplayLog(w).size());
+    }
+    return std::tuple(fabric.CurrentRound(), fabric.total_bytes(),
+                      fabric.total_messages(),
+                      fabric.transport_stats().wire_bytes, replay);
+  };
+  auto before = state();
+  dp::Query query;
+  query.header_space.dst = util::MustParsePrefix("10.0.0.0/8");
+  for (topo::NodeId id = 0; id < net.graph.size(); ++id) {
+    if (net.graph.node(id).role == topo::Role::kEdge) {
+      query.sources.push_back(id);
+      query.destinations.push_back(id);
+    }
+  }
+  for (int i = 0; i < 3; ++i) {
+    Controller::QueryOutcome outcome = controller.RunQuery(query);
+    EXPECT_GT(outcome.metrics.comm_messages, 0u);  // packets did cross
+  }
+  controller.RunQueries({query, query});
+  EXPECT_EQ(state(), before);
+}
+
+// The pooled forwarding loop is the serial loop run in parallel: per-domain
+// outboxes ferried in worker order keep every observable identical.
+struct ForwardCase {
+  std::string label;
+  config::ParsedNetwork net;
+  dp::Query query;
+};
+
+dp::Query AllEdgePairs(const config::ParsedNetwork& net, const char* dst) {
+  dp::Query query;
+  if (dst != nullptr) query.header_space.dst = util::MustParsePrefix(dst);
+  for (topo::NodeId id = 0; id < net.graph.size(); ++id) {
+    if (net.graph.node(id).role == topo::Role::kEdge) {
+      query.sources.push_back(id);
+      query.destinations.push_back(id);
+    }
+  }
+  return query;
+}
+
+std::vector<ForwardCase> ForwardCases() {
+  std::vector<ForwardCase> cases;
+  for (int k : {4, 6}) {
+    config::ParsedNetwork net = FatTree(k);
+    dp::Query query = AllEdgePairs(net, "10.0.0.0/8");
+    cases.push_back({"fattree" + std::to_string(k), std::move(net), query});
+  }
+  topo::DcnParams params;
+  params.small_clusters = 2;
+  params.big_clusters = 1;
+  params.tors_per_pod = 2;
+  params.cores = 2;
+  {
+    config::ParsedNetwork net = testing::Parse(topo::MakeDcn(params));
+    dp::Query query = AllEdgePairs(net, "10.0.0.0/8");
+    cases.push_back({"dcn", std::move(net), query});
+  }
+  params.dual_stack = true;
+  {
+    // Unconstrained header space: both address families at once.
+    config::ParsedNetwork net = testing::Parse(topo::MakeDcn(params));
+    dp::Query query = AllEdgePairs(net, nullptr);
+    cases.push_back({"dualstack-dcn", std::move(net), query});
+  }
+  {
+    config::ParsedNetwork net = FatTree4();
+    dp::Query query;
+    query.header_space.dst = util::MustParsePrefix("10.1.0.0/24");
+    query.sources = {net.graph.FindByName("edge-0-0")};
+    query.destinations = {net.graph.FindByName("edge-1-0")};
+    query.record_paths = true;
+    cases.push_back({"record-paths", std::move(net), query});
+  }
+  return cases;
+}
+
+TEST(ForwardAcrossDomainsTest, PooledRoundsMatchSerial) {
+  util::ThreadPool pool(4);
+  for (ForwardCase& c : ForwardCases()) {
+    ControllerOptions options;
+    options.num_workers = 4;
+    Controller controller(c.net, options);
+    controller.Setup();
+    controller.RunControlPlane();
+    controller.BuildDataPlanes();
+    const dp::HeaderLayout& layout = controller.options().layout;
+
+    auto forward = [&](util::ThreadPool* with) {
+      std::vector<std::unique_ptr<dp::Domain>> owned;
+      std::vector<dp::Domain*> domains;
+      for (uint32_t w = 0; w < options.num_workers; ++w) {
+        owned.push_back(BuildDomain(controller.handle(w).SnapshotPredicates(),
+                                    layout, options.max_hops, {}));
+        domains.push_back(owned.back().get());
+        dp::InstallQuery(domains.back()->engine, c.query);
+      }
+      return ForwardAcrossDomains(domains, controller.fabric().assignment(),
+                                  {}, with);
+    };
+    CrossingRun serial = forward(nullptr);
+    CrossingRun pooled = forward(&pool);
+
+    EXPECT_GT(serial.rounds, 1u) << c.label;
+    EXPECT_GT(serial.comm_messages, 0u) << c.label;
+    EXPECT_EQ(pooled.rounds, serial.rounds) << c.label;
+    EXPECT_EQ(pooled.steps, serial.steps) << c.label;
+    EXPECT_EQ(pooled.comm_bytes, serial.comm_bytes) << c.label;
+    EXPECT_EQ(pooled.comm_messages, serial.comm_messages) << c.label;
+    ASSERT_EQ(pooled.finals.size(), serial.finals.size()) << c.label;
+    for (size_t i = 0; i < serial.finals.size(); ++i) {
+      const dp::SerializedFinal& a = serial.finals[i];
+      const dp::SerializedFinal& b = pooled.finals[i];
+      EXPECT_EQ(std::tie(a.src, a.node, a.state, a.path, a.set),
+                std::tie(b.src, b.node, b.state, b.path, b.set))
+          << c.label << " final " << i;
+    }
+    if (c.query.record_paths) {
+      ASSERT_FALSE(serial.finals.empty());
+      EXPECT_FALSE(serial.finals.front().path.empty()) << c.label;
+    }
+  }
 }
 
 TEST(RoundMetricsTest, AddAccumulates) {

@@ -191,7 +191,7 @@ TEST(DifferentialOracleTest, RandomDcnsAgreeAcrossEngines) {
 }
 
 // The query-parallel path (Dpo::RunQueries at query_lanes>1) must agree
-// with the classic sequential per-query fabric rounds, query by query.
+// with sequential Controller::RunQuery calls, query by query.
 TEST(DifferentialOracleTest, ParallelQueryPathMatchesSequential) {
   for (Instance& instance : RandomFatTrees(2, /*seed=*/37)) {
     config::ParsedNetwork net = testing::Parse(instance.net);

@@ -256,7 +256,6 @@ TEST(SidecarFabricStressTest, SeededFaultsReplayDeterministically) {
 Message MakeMessage(topo::NodeId to, topo::NodeId from,
                     std::vector<uint8_t> payload) {
   Message message;
-  message.type = MessageType::kRouteUpdates;
   message.to_node = to;
   message.from_node = from;
   message.payload = std::move(payload);
@@ -304,40 +303,6 @@ class TruncationCorpusTest : public ::testing::Test {
     std::vector<std::vector<uint8_t>> corpus;
     {
       Message message = MakeMessage(7, 3, {1, 2, 3, 4, 5});
-      std::vector<uint8_t> bytes;
-      EncodeMessage(message, bytes);
-      corpus.push_back(std::move(bytes));
-    }
-    {
-      Message message;
-      message.type = MessageType::kSymbolicPacket;
-      message.to_node = 9;
-      message.from_node = 2;
-      message.packet_src = 1;
-      message.packet_hops = 4;
-      message.packet_path = {1, 5, 9};
-      message.payload = std::vector<uint8_t>(33, 0xEE);
-      std::vector<uint8_t> bytes;
-      EncodeMessage(message, bytes);
-      corpus.push_back(std::move(bytes));
-    }
-    {
-      Message message;
-      message.type = MessageType::kPacketBatch;
-      message.to_node = 4;
-      std::vector<dp::WirePacket> frames(2);
-      frames[0].at = 4;
-      frames[0].from = 3;
-      frames[0].src = 0;
-      frames[0].hops = 2;
-      frames[0].set = {9, 9, 9, 9};
-      frames[1].at = 4;
-      frames[1].from = 5;
-      frames[1].src = 1;
-      frames[1].hops = 3;
-      frames[1].path = {1, 2, 5};
-      frames[1].set = {7};
-      EncodePacketBatch(frames, message.payload);
       std::vector<uint8_t> bytes;
       EncodeMessage(message, bytes);
       corpus.push_back(std::move(bytes));
@@ -436,24 +401,6 @@ TEST_F(TruncationCorpusTest, MessageTruncatedAtEveryByteThrows) {
   }
 }
 
-TEST_F(TruncationCorpusTest, PacketBatchTruncatedAtEveryByteThrows) {
-  std::vector<dp::WirePacket> frames(2);
-  frames[0].at = 1;
-  frames[0].set = {1, 2, 3};
-  frames[1].at = 2;
-  frames[1].path = {7, 8};
-  frames[1].set = {4};
-  std::vector<uint8_t> payload;
-  EncodePacketBatch(frames, payload);
-  EXPECT_NO_THROW(DecodePacketBatch(payload));
-  for (size_t cut = 0; cut < payload.size(); ++cut) {
-    std::vector<uint8_t> truncated(
-        payload.begin(), payload.begin() + static_cast<ptrdiff_t>(cut));
-    EXPECT_THROW(DecodePacketBatch(truncated), util::WireFormatError)
-        << "cut at byte " << cut << " of " << payload.size();
-  }
-}
-
 TEST_F(TruncationCorpusTest, LengthFieldsBeyondStreamThrow) {
   // A message whose payload length field claims more than remains.
   Message message = MakeMessage(1, 0, {1, 2, 3, 4});
@@ -464,16 +411,6 @@ TEST_F(TruncationCorpusTest, LengthFieldsBeyondStreamThrow) {
   bytes[len_at] = 0xFF;
   bytes[len_at + 1] = 0xFF;
   EXPECT_THROW(DecodeMessage(bytes), util::WireFormatError);
-
-  // A path length field that would read past the end.
-  Message pathy;
-  pathy.type = MessageType::kSymbolicPacket;
-  pathy.to_node = 1;
-  pathy.packet_path = {1, 2};
-  std::vector<uint8_t> pathy_bytes;
-  EncodeMessage(pathy, pathy_bytes);
-  pathy_bytes[17] = 0xFF;  // path_len lives after type + 4 u32 fields
-  EXPECT_THROW(DecodeMessage(pathy_bytes), util::WireFormatError);
 }
 
 TEST(DistResourceTest, PerWorkerBddTableOverflowIsAVerdict) {

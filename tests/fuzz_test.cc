@@ -616,46 +616,6 @@ TEST(WireFuzzTest, SectionUnknownAddressFamilyByteErrors) {
   }
 }
 
-std::vector<uint8_t> ValidPacketBatch() {
-  std::vector<dp::WirePacket> frames;
-  for (uint32_t i = 0; i < 4; ++i) {
-    dp::WirePacket frame;
-    frame.at = i;
-    frame.from = i + 1;
-    frame.src = 0;
-    frame.hops = static_cast<int>(i);
-    frame.path = {0u, 1u, i};
-    frame.set = {0x44, 0x42, 0x32, 0x53, 0x01, 0x02, 0x03};  // opaque here
-    frames.push_back(std::move(frame));
-  }
-  std::vector<uint8_t> payload;
-  dist::EncodePacketBatch(frames, payload);
-  return payload;
-}
-
-TEST(WireFuzzTest, EveryTruncatedPacketBatchErrors) {
-  std::vector<uint8_t> payload = ValidPacketBatch();
-  ASSERT_EQ(dist::DecodePacketBatch(payload).size(), 4u);
-  for (size_t len = 0; len < payload.size(); ++len) {
-    std::vector<uint8_t> cut(payload.begin(), payload.begin() + len);
-    EXPECT_THROW(dist::DecodePacketBatch(cut), util::WireFormatError)
-        << "prefix of " << len << " bytes";
-  }
-}
-
-TEST(WireFuzzTest, SaturatedPacketBatchFieldsErrorNotAllocate) {
-  std::vector<uint8_t> payload = ValidPacketBatch();
-  for (size_t pos = 0; pos + 4 <= payload.size(); ++pos) {
-    std::vector<uint8_t> corrupt = payload;
-    for (size_t i = 0; i < 4; ++i) corrupt[pos + i] = 0xFF;
-    try {
-      auto frames = dist::DecodePacketBatch(corrupt);
-      EXPECT_LE(frames.size(), corrupt.size());
-    } catch (const util::WireFormatError&) {
-    }
-  }
-}
-
 std::vector<uint8_t> ValidPredicateBlob(bdd::Manager& manager) {
   dp::NodePredicates preds;
   preds.arrive = manager.And(manager.Var(0), manager.Var(3));
@@ -729,7 +689,6 @@ TEST(WireFuzzTest, RandomBddBlobMutationsNeverCrash) {
 
 dist::Message SampleFabricMessage() {
   dist::Message msg;
-  msg.type = dist::MessageType::kRouteUpdates;
   msg.to_node = 5;
   msg.from_node = 1;
   cp::AttrPool pool;

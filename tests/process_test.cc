@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "test_networks.h"
 #include "topo/dcn.h"
+#include "topo/fattree.h"
 #include "unusable_tmpdir.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -175,8 +176,9 @@ TEST(ProcessWorkers, DifferentialUnsharded) {
   ExpectNoLiveProcess(pids);
 }
 
-// Process mode forwards controller-side (Dpo::RunQueries); the forwarding
-// phase must still report its measured wall time and engine steps.
+// Process mode forwards controller-side over domains rebuilt from the
+// children's predicate bytes; the forwarding phase must still report its
+// measured wall time and engine steps.
 TEST(ProcessWorkers, ForwardingTimeAndStepsAreMeasured) {
   dp::Query query = EdgeQuery(DefaultDcn());
   core::S2Verifier proc(BaseOptions(3, 0, WorkerMode::kProcess));
@@ -184,6 +186,37 @@ TEST(ProcessWorkers, ForwardingTimeAndStepsAreMeasured) {
   ASSERT_EQ(got.status, core::RunStatus::kOk) << got.failure_detail;
   EXPECT_GT(got.dp_forward.wall_seconds, 0.0);
   EXPECT_GT(got.forwarding_steps, 0u);
+}
+
+// Both worker modes run the same forwarding loop, so a verify reports the
+// same bytes, messages, rounds and steps in either mode.
+TEST(ProcessWorkers, ForwardingBytesMatchAcrossModes) {
+  topo::FatTreeParams params;
+  params.k = 4;
+  config::ParsedNetwork net = testing::Parse(topo::MakeFatTree(params));
+  dp::Query query = EdgeQuery(net);
+
+  core::S2Verifier in_proc(BaseOptions(4, 0, WorkerMode::kInProcess));
+  core::VerifyResult want = in_proc.Verify(net, {query});
+  ASSERT_EQ(want.status, core::RunStatus::kOk) << want.failure_detail;
+  core::S2Verifier proc(BaseOptions(4, 0, WorkerMode::kProcess));
+  core::VerifyResult got = proc.Verify(net, {query});
+  ASSERT_EQ(got.status, core::RunStatus::kOk) << got.failure_detail;
+
+  EXPECT_GT(want.dp_forward.comm_bytes, 0u);
+  EXPECT_EQ(got.dp_forward.comm_bytes, want.dp_forward.comm_bytes);
+  EXPECT_EQ(got.dp_forward.comm_messages, want.dp_forward.comm_messages);
+  EXPECT_EQ(got.dp_forward.rounds, want.dp_forward.rounds);
+  EXPECT_EQ(got.forwarding_steps, want.forwarding_steps);
+  EXPECT_EQ(got.comm_bytes, want.comm_bytes);
+  EXPECT_EQ(proc.last_controller()->TotalCommBytes(),
+            in_proc.last_controller()->TotalCommBytes());
+  ExpectSameVerdict(got.queries[0], want.queries[0], "fattree4");
+  // VerifyResult keeps no gather count; the controllers are still live.
+  size_t want_gather = in_proc.last_controller()->RunQuery(query).gather_bytes;
+  EXPECT_GT(want_gather, 0u);
+  EXPECT_EQ(proc.last_controller()->RunQuery(query).gather_bytes,
+            want_gather);
 }
 
 // A RunQuery sweep fetches each child's predicate bytes once per
